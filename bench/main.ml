@@ -403,7 +403,8 @@ let ingestbench domains =
   in
   let total = domains * per_client in
   Array.sort compare latencies;
-  let pct p = latencies.(min (total - 1) (p * total / 100)) in
+  (* nearest rank: the ceil(p * total / 100)-th smallest sample *)
+  let pct p = latencies.(max 1 (((p * total) + 99) / 100) - 1) in
   (* crash before compaction: recovery must replay the whole log *)
   let svc2, t_recover = time (fun () -> Service.open_ cfg) in
   let replayed = (Service.stats svc2).Service.st_replayed in

@@ -21,46 +21,244 @@ let scheme_name = function
     Printf.sprintf "tage/%s"
       (String.concat "-" (List.map string_of_int histories))
 
-(* Shared and pattern tables hold 2-bit counters, so they are packed
-   one counter per byte: a 4096-entry gshare table is 4 KB instead of
-   32 KB of boxed-int-free but 8-byte array words, which keeps every
-   zoo scheme's working set L1-resident during replay.  Entries are
-   masked before every access, so the unsafe byte accessors below are
-   in range by construction. *)
+(* ---- kernels ----
+
+   Each scheme is one kernel: an explicit state record and a closed
+   [step state site taken] that predicts, updates and returns bit 0 =
+   "prediction correct" and bit 1 = "some stored value changed".
+   {!hook} and {!hook_batch} both reach it through {!step}'s match, so
+   each update rule is written once.  The steps and their helpers are
+   closed, [int]-annotated and [@inline]: ocamlopt without flambda
+   inlines neither a closure that captures its tables nor a function
+   passed as an argument, and compiles a polymorphic comparison to a
+   [caml_compare] call per event. *)
+
+(* Every table holds 1- or 2-bit counters, packed one per byte: a
+   4096-entry gshare table is 4 KB instead of 32 KB of 8-byte array
+   words, which keeps every zoo scheme's working set L1-resident during
+   replay.  Entries are masked, or the site range-checked, before every
+   access, so the unsafe byte accessors below are in range. *)
 let[@inline] bget b i = Char.code (Bytes.unsafe_get b i)
 let[@inline] bset b i v = Bytes.unsafe_set b i (Char.unsafe_chr v)
+
+(* store [v] at byte [i]; 2 if that changed the stored value, else 0 *)
+let[@inline] bput b i (v : int) =
+  if bget b i = v then 0
+  else begin
+    bset b i v;
+    2
+  end
+
+let[@inline] bump (c : int) taken =
+  if taken then if c < 3 then c + 1 else 3 else if c > 0 then c - 1 else 0
+
+let[@inline] verdict ok (changed : int) = Bool.to_int ok lor changed
+
+(* newest outcome in the lowest bit *)
+let[@inline] push (h : int) taken mask =
+  ((h lsl 1) lor Bool.to_int taken) land mask
+
+(* one 2-bit counter at [table.(i)]: the step shared by every
+   counter-table scheme *)
+let[@inline] counter_step table i taken =
+  let c = bget table i in
+  verdict (c >= 2 = taken) (bput table i (bump c taken))
+
+(* 1-bit: per-site 0/1, predict whatever the branch last did; 2-bit
+   is [counter_step] on a per-site table *)
+let[@inline] last_step st site taken =
+  let d = Bool.to_int taken in
+  let ok = bget st site = d in
+  verdict ok (bput st site d)
+
+let[@inline] static_step (p : Prediction.t) site taken =
+  Bool.to_int (Array.unsafe_get p site = taken)
+
+(* Smith: one shared table indexed by the site number *)
+type shared = { s_table : Bytes.t; s_mask : int }
+
+let[@inline] smith_step s site taken =
+  counter_step s.s_table (site land s.s_mask) taken
+
+(* two-level (GAg) and gshare: the history register, XOR the site for
+   gshare, indexes one pattern table.  [site land p_xsel] is [site]
+   for gshare and 0 for plain two-level, so one step serves both; the
+   table and the register share [p_mask]. *)
+type pattern = {
+  p_table : Bytes.t;
+  p_mask : int;
+  p_xsel : int;
+  mutable p_hist : int;
+}
+
+let[@inline] pattern_step s site taken =
+  let i = (s.p_hist lxor (site land s.p_xsel)) land s.p_mask in
+  let r = counter_step s.p_table i taken in
+  s.p_hist <- push s.p_hist taken s.p_mask;
+  r
+
+(* Bi-Mode: a site-indexed choice table picks between a not-taken and
+   a taken direction bank, both gshare-indexed; the register shares
+   the banks' mask. *)
+type bimode = {
+  b_choice : Bytes.t;
+  b_cmask : int;
+  b_nt : Bytes.t;
+  b_tk : Bytes.t;
+  b_dmask : int;
+  mutable b_hist : int;
+}
+
+let[@inline] bimode_step s site taken =
+  let ci = site land s.b_cmask in
+  let cc = bget s.b_choice ci in
+  let sel = cc >= 2 in
+  let bank = if sel then s.b_tk else s.b_nt in
+  let r = counter_step bank ((s.b_hist lxor site) land s.b_dmask) taken in
+  s.b_hist <- push s.b_hist taken s.b_dmask;
+  (* Bi-Mode choice rule: don't update the selector when it disagreed
+     with the outcome but the selected bank still predicted correctly
+     — that agreement is the bank's bias doing its job, not evidence
+     about this site. *)
+  if r land 1 = 1 && sel <> taken then r
+  else r lor bput s.b_choice ci (bump cc taken)
 
 (* One tagged TAGE component: entries are (tag, 2-bit counter, useful
    bit); [tg_tag] holds -1 for never-allocated entries so a cold table
    can never produce a spurious tag match. *)
 type tagged = {
-  tg_hist : int;  (* history length this table consumes, in bits *)
+  tg_hmask : int;  (* the history bits this table consumes *)
   tg_mask : int;
   tg_tagmask : int;
   tg_tag : int array;
   tg_ctr : Bytes.t;  (* 2-bit counters, one per byte *)
-  tg_useful : Bytes.t;  (* useful bits, '\000' / '\001' *)
+  tg_useful : Bytes.t;  (* useful bits, 0 / 1 *)
 }
 
-type core =
-  | State of int array  (* per-site: 0/1 (1-bit) or 0..3 (2-bit) *)
+type tage = {
+  t_base : Bytes.t;  (* per-site 2-bit bimodal base *)
+  t_tables : tagged array;  (* shortest history first *)
+  t_idx : int array;  (* scratch: each table's row for the current event *)
+  t_hmask : int;
+  mutable t_hist : int;
+}
+
+(* Deterministic integer mixes for TAGE index/tag hashing, with the
+   site-dependent halves ([sc = site * 0x9E3779B1], [sk = (site +
+   0x27d4eb2f) * 0x85EBCA6B]) computed once per event; [land] with a
+   positive mask keeps the result non-negative whatever the products
+   overflow to. *)
+let[@inline] mix (x : int) = x lxor (x lsr 15)
+
+let[@inline] tage_index tg sc h =
+  mix (sc lxor ((h land tg.tg_hmask) * 0x85EBCA6B)) land tg.tg_mask
+
+let[@inline] tage_tag tg sk h =
+  mix ((((h land tg.tg_hmask) lxor 0x5bd1e995) * 0x9E3779B1) lxor sk)
+  land tg.tg_tagmask
+
+(* the prediction of table [q] at this event's row, or the base's for
+   [q < 0] *)
+let[@inline] tage_pred s site q =
+  if q < 0 then bget s.t_base site >= 2
+  else
+    bget (Array.unsafe_get s.t_tables q).tg_ctr (Array.unsafe_get s.t_idx q)
+    >= 2
+
+(* After a mispredict, allocate one entry in a table longer than the
+   provider, preferring the shortest; a useful entry is never evicted —
+   instead all candidate useful bits decay, so a stubborn row frees up
+   after repeated allocation pressure.  An allocation always changes a
+   tag: a longer table whose tag matched would have been the
+   provider. *)
+let[@inline] tage_allocate s floor sk taken =
+  let nt = Array.length s.t_tables in
+  let q = ref floor in
+  while
+    !q < nt
+    && bget (Array.unsafe_get s.t_tables !q).tg_useful
+         (Array.unsafe_get s.t_idx !q)
+       <> 0
+  do
+    incr q
+  done;
+  if !q < nt then begin
+    let tg = Array.unsafe_get s.t_tables !q
+    and i = Array.unsafe_get s.t_idx !q in
+    Array.unsafe_set tg.tg_tag i (tage_tag tg sk s.t_hist);
+    bset tg.tg_ctr i (if taken then 2 else 1);
+    2
+  end
+  else begin
+    let ch = ref 0 in
+    for q = floor to nt - 1 do
+      let tg = Array.unsafe_get s.t_tables q in
+      ch := !ch lor bput tg.tg_useful (Array.unsafe_get s.t_idx q) 0
+    done;
+    !ch
+  end
+
+(* The provider is the longest-history tagged table whose tag matches;
+   the alternate is the next such table (or the base bimodal).  Both
+   are needed: prediction comes from the provider, the useful bit is
+   set only when provider and alternate disagree. *)
+let[@inline] tage_step s site taken =
+  let sc = site * 0x9E3779B1 and sk = (site + 0x27d4eb2f) * 0x85EBCA6B in
+  let p = ref (-1) and a = ref (-1) in
+  for q = Array.length s.t_tables - 1 downto 0 do
+    let tg = Array.unsafe_get s.t_tables q in
+    let i = tage_index tg sc s.t_hist in
+    Array.unsafe_set s.t_idx q i;
+    if Array.unsafe_get tg.tg_tag i = tage_tag tg sk s.t_hist then
+      if !p < 0 then p := q else if !a < 0 then a := q
+  done;
+  let predicted = tage_pred s site !p and altpred = tage_pred s site !a in
+  let ok = predicted = taken in
+  let ch =
+    if !p < 0 then bput s.t_base site (bump (bget s.t_base site) taken)
+    else begin
+      let tg = Array.unsafe_get s.t_tables !p
+      and i = Array.unsafe_get s.t_idx !p in
+      let ch = bput tg.tg_ctr i (bump (bget tg.tg_ctr i) taken) in
+      if predicted = altpred then ch
+      else ch lor bput tg.tg_useful i (Bool.to_int ok)
+    end
+  in
+  let ch = if ok then ch else ch lor tage_allocate s (!p + 1) sk taken in
+  s.t_hist <- push s.t_hist taken s.t_hmask;
+  verdict ok ch
+
+type kernel =
+  | Last_dir of Bytes.t
+  | Counters of Bytes.t
   | Fixed of Prediction.t
-  | Pattern of { table : Bytes.t; mask : int; xor_site : bool }
-  | Shared of { table : Bytes.t; mask : int }  (* Smith: site-indexed *)
-  | Split of {
-      choice : Bytes.t;  (* per-site-hash 2-bit bank selectors *)
-      cmask : int;
-      dir : Bytes.t array;  (* dir.(0) not-taken bank, dir.(1) taken *)
-      dmask : int;
-    }
-  | Tagged of { base : int array; tables : tagged array }
+  | Shared of shared
+  | Pattern of pattern
+  | Split of bimode
+  | Tagged of tage
+
+(* The scheme's kernel, dispatched per event: the match takes the same
+   arm for a whole replay, and every arm inlines its closed step. *)
+let[@inline] step k site taken =
+  match k with
+  | Last_dir st -> last_step st site taken
+  | Counters st -> counter_step st site taken
+  | Fixed p -> static_step p site taken
+  | Shared s -> smith_step s site taken
+  | Pattern s -> pattern_step s site taken
+  | Split s -> bimode_step s site taken
+  | Tagged s -> tage_step s site taken
+
+(* the history register, or 0 for schemes without one *)
+let snap = function
+  | Pattern s -> s.p_hist
+  | Split s -> s.b_hist
+  | Tagged s -> s.t_hist
+  | Last_dir _ | Counters _ | Fixed _ | Shared _ -> 0
 
 type t = {
-  scheme : scheme;
   n_sites : int;
-  core : core;
-  hist_mask : int;  (* global history register mask; 0 = no history *)
-  mutable history : int;  (* newest outcome in the lowest bit *)
+  kernel : kernel;
   mutable correct : int;
   mutable incorrect : int;
   site_correct : int array;
@@ -87,71 +285,14 @@ let check_histories histories =
       "Dynamic.create: tage histories must be 1-4 strictly increasing \
        lengths in [1, 24]"
 
-let[@inline] bump c taken = if taken then min 3 (c + 1) else max 0 (c - 1)
-
-(* Deterministic integer mix for TAGE index/tag hashing; [land] with a
-   positive mask keeps the result non-negative whatever the products
-   overflow to. *)
-let[@inline] mix a b =
-  let x = (a * 0x9E3779B1) lxor (b * 0x85EBCA6B) in
-  x lxor (x lsr 15)
-
-let[@inline] tage_index tg site history =
-  let h = history land ((1 lsl tg.tg_hist) - 1) in
-  mix site h land tg.tg_mask
-
-let[@inline] tage_tag tg site history =
-  let h = history land ((1 lsl tg.tg_hist) - 1) in
-  mix (h lxor 0x5bd1e995) (site + 0x27d4eb2f) land tg.tg_tagmask
-
-(* Profile warming: seed exactly the state the IFPROB database can
+(* Profile warming seeds exactly the state the IFPROB database can
    speak to.  Site-indexed counters take the warm direction weakly
    (one contrary outcome flips them); shared tables take a weak
    majority vote of the sites that alias to each entry; Bi-Mode's
    direction banks are biased their designed way and its choice table
-   votes per entry; TAGE's tagged tables stay cold — their contents
-   are history-dependent, which no per-site profile can know. *)
-let seed t (w : Prediction.t) =
-  let weak dir = if dir then 2 else 1 in
-  let vote table mask per_entry_default =
-    let votes = Array.make (Bytes.length table) 0 in
-    let touched = Array.make (Bytes.length table) false in
-    Array.iteri
-      (fun s dir ->
-        let i = s land mask in
-        touched.(i) <- true;
-        votes.(i) <- votes.(i) + if dir then 1 else -1)
-      w;
-    Array.iteri
-      (fun i v ->
-        if touched.(i) then
-          (* ties take the taken side, matching Profile.majority_taken *)
-          bset table i (weak (v >= 0))
-        else bset table i per_entry_default)
-      votes
-  in
-  match t.core with
-  | Fixed _ -> ()
-  | State st ->
-    let one_bit = t.scheme = Last_direction in
-    Array.iteri
-      (fun s dir -> st.(s) <- (if one_bit then Bool.to_int dir else weak dir))
-      w
-  | Pattern { table; _ } ->
-    (* No per-pattern evidence exists statically; seed every entry
-       weakly toward the profile's global majority so the cold
-       all-zeros (strong not-taken) start stops penalizing
-       majority-taken programs. *)
-    let taken = Array.fold_left (fun n d -> n + Bool.to_int d) 0 w in
-    let majority = 2 * taken >= Array.length w in
-    Bytes.fill table 0 (Bytes.length table) (Char.chr (weak majority))
-  | Shared { table; mask } -> vote table mask 0
-  | Split { choice; cmask; dir; _ } ->
-    vote choice cmask 0;
-    Bytes.fill dir.(0) 0 (Bytes.length dir.(0)) '\001';
-    Bytes.fill dir.(1) 0 (Bytes.length dir.(1)) '\002'
-  | Tagged { base; _ } -> Array.iteri (fun s dir -> base.(s) <- weak dir) w
-
+   votes per entry; pattern tables lean weakly toward the global
+   majority; TAGE's tagged tables stay cold — their contents are
+   history-dependent, which no per-site profile can know. *)
 let create ?warm scheme ~n_sites =
   (match warm with
   | Some w when Array.length w <> n_sites ->
@@ -161,9 +302,61 @@ let create ?warm scheme ~n_sites =
           tracks %d"
          (Array.length w) n_sites)
   | _ -> ());
-  let core, hist_mask =
+  let weak dir = if dir then 2 else 1 in
+  let per_site seed =
+    let st = Bytes.make (max 1 n_sites) '\000' in
+    Option.iter (Array.iteri (fun s dir -> bset st s (seed dir))) warm;
+    st
+  in
+  (* cold: all zeros; warm: [fill] where no finer evidence exists *)
+  let table size fill =
+    Bytes.make size (Char.chr (if Option.is_some warm then fill else 0))
+  in
+  let voted bits =
+    let size = 1 lsl bits in
+    let tbl = table size 0 in
+    Option.iter
+      (fun w ->
+        let votes = Array.make size 0 and touched = Array.make size false in
+        Array.iteri
+          (fun s dir ->
+            let i = s land (size - 1) in
+            touched.(i) <- true;
+            votes.(i) <- votes.(i) + if dir then 1 else -1)
+          w;
+        (* ties take the taken side, matching Profile.majority_taken *)
+        Array.iteri
+          (fun i v -> if touched.(i) then bset tbl i (weak (v >= 0)))
+          votes)
+      warm;
+    tbl
+  in
+  let pattern history_bits xsel =
+    check_bits "history_bits" history_bits;
+    (* no per-pattern evidence exists statically: lean every entry
+       toward the profile's global majority, so the cold all-zeros
+       (strong not-taken) start stops penalizing majority-taken
+       programs *)
+    let majority =
+      match warm with
+      | Some w ->
+        2 * Array.fold_left (fun n d -> n + Bool.to_int d) 0 w
+        >= Array.length w
+      | None -> false
+    in
+    let size = 1 lsl history_bits in
+    Pattern
+      {
+        p_table = table size (weak majority);
+        p_mask = size - 1;
+        p_xsel = xsel;
+        p_hist = 0;
+      }
+  in
+  let kernel =
     match scheme with
-    | Last_direction | Two_bit -> (State (Array.make (max 1 n_sites) 0), 0)
+    | Last_direction -> Last_dir (per_site Bool.to_int)
+    | Two_bit -> Counters (per_site weak)
     | Static p ->
       if Array.length p <> n_sites then
         invalid_arg
@@ -171,188 +364,60 @@ let create ?warm scheme ~n_sites =
              "Dynamic.create: static prediction covers %d sites but the \
               trace has %d (profile from a different build?)"
              (Array.length p) n_sites);
-      (Fixed p, 0)
-    | Two_level { history_bits } ->
-      check_bits "history_bits" history_bits;
-      let size = 1 lsl history_bits in
-      ( Pattern
-          { table = Bytes.make size '\000'; mask = size - 1; xor_site = false },
-        size - 1 )
-    | Gshare { history_bits } ->
-      check_bits "history_bits" history_bits;
-      let size = 1 lsl history_bits in
-      ( Pattern
-          { table = Bytes.make size '\000'; mask = size - 1; xor_site = true },
-        size - 1 )
+      Fixed p
+    | Two_level { history_bits } -> pattern history_bits 0
+    | Gshare { history_bits } -> pattern history_bits (-1)
     | Smith { table_bits } ->
       check_bits "table_bits" table_bits;
-      let size = 1 lsl table_bits in
-      (Shared { table = Bytes.make size '\000'; mask = size - 1 }, 0)
+      Shared { s_table = voted table_bits; s_mask = (1 lsl table_bits) - 1 }
     | Bimode { history_bits; choice_bits } ->
       check_bits "history_bits" history_bits;
       check_bits "choice_bits" choice_bits;
-      let dsize = 1 lsl history_bits and csize = 1 lsl choice_bits in
-      ( Split
-          {
-            choice = Bytes.make csize '\000';
-            cmask = csize - 1;
-            dir = [| Bytes.make dsize '\000'; Bytes.make dsize '\000' |];
-            dmask = dsize - 1;
-          },
-        dsize - 1 )
+      let dsize = 1 lsl history_bits in
+      Split
+        {
+          b_choice = voted choice_bits;
+          b_cmask = (1 lsl choice_bits) - 1;
+          b_nt = table dsize 1;
+          b_tk = table dsize 2;
+          b_dmask = dsize - 1;
+          b_hist = 0;
+        }
     | Tage { table_bits; tag_bits; histories } ->
       check_bits "table_bits" table_bits;
       if tag_bits < 1 || tag_bits > 16 then
         invalid_arg "Dynamic.create: tag_bits out of [1, 16]";
       check_histories histories;
       let size = 1 lsl table_bits in
-      let tables =
-        Array.of_list
-          (List.map
-             (fun h ->
-               {
-                 tg_hist = h;
-                 tg_mask = size - 1;
-                 tg_tagmask = (1 lsl tag_bits) - 1;
-                 tg_tag = Array.make size (-1);
-                 tg_ctr = Bytes.make size '\000';
-                 tg_useful = Bytes.make size '\000';
-               })
-             histories)
+      let tagged h =
+        {
+          tg_hmask = (1 lsl h) - 1;
+          tg_mask = size - 1;
+          tg_tagmask = (1 lsl tag_bits) - 1;
+          tg_tag = Array.make size (-1);
+          tg_ctr = Bytes.make size '\000';
+          tg_useful = Bytes.make size '\000';
+        }
       in
-      let max_hist = List.fold_left max 1 histories in
-      (Tagged { base = Array.make (max 1 n_sites) 0; tables },
-       (1 lsl max_hist) - 1)
+      Tagged
+        {
+          t_base = per_site weak;
+          t_tables = Array.of_list (List.map tagged histories);
+          t_idx = Array.make (List.length histories) 0;
+          t_hmask = (1 lsl List.fold_left max 1 histories) - 1;
+          t_hist = 0;
+        }
   in
-  let t =
-    {
-      scheme;
-      n_sites;
-      core;
-      hist_mask;
-      history = 0;
-      correct = 0;
-      incorrect = 0;
-      site_correct = Array.make (max 1 n_sites) 0;
-      site_incorrect = Array.make (max 1 n_sites) 0;
-    }
-  in
-  (match warm with Some w -> seed t w | None -> ());
-  t
+  {
+    n_sites;
+    kernel;
+    correct = 0;
+    incorrect = 0;
+    site_correct = Array.make (max 1 n_sites) 0;
+    site_incorrect = Array.make (max 1 n_sites) 0;
+  }
 
-(* The provider is the longest-history tagged table whose tag matches;
-   the alternate is the next such table (or the base bimodal).  Both
-   are needed: prediction comes from the provider, the useful bit is
-   set only when provider and alternate disagree. *)
-let tage_lookup tables base site history =
-  let provider = ref None and alt = ref None in
-  for i = Array.length tables - 1 downto 0 do
-    let tg = tables.(i) in
-    let idx = tage_index tg site history in
-    if tg.tg_tag.(idx) = tage_tag tg site history then
-      if !provider = None then provider := Some (i, idx)
-      else if !alt = None then alt := Some (i, idx)
-  done;
-  let pred = function
-    | Some (i, idx) -> bget tables.(i).tg_ctr idx >= 2
-    | None -> base.(site) >= 2
-  in
-  (!provider, pred !provider, pred !alt)
-
-let hook t site taken =
-  if site < 0 || site >= t.n_sites then
-    invalid_arg
-      (Printf.sprintf
-         "Dynamic.hook: site %d out of range for a %d-site predictor (trace \
-          and build disagree?)"
-         site t.n_sites);
-  let push_history taken =
-    t.history <- ((t.history lsl 1) lor Bool.to_int taken) land t.hist_mask
-  in
-  let predicted, update =
-    match t.core with
-    | State st when t.scheme = Last_direction ->
-      (st.(site) = 1, fun () -> st.(site) <- Bool.to_int taken)
-    | State st ->
-      (st.(site) >= 2, fun () -> st.(site) <- bump st.(site) taken)
-    | Fixed p -> (p.(site), fun () -> ())
-    | Pattern { table; mask; xor_site } ->
-      let i =
-        if xor_site then (t.history lxor site) land mask
-        else t.history land mask
-      in
-      ( bget table i >= 2,
-        fun () ->
-          bset table i (bump (bget table i) taken);
-          push_history taken )
-    | Shared { table; mask } ->
-      let i = site land mask in
-      (bget table i >= 2, fun () -> bset table i (bump (bget table i) taken))
-    | Split { choice; cmask; dir; dmask } ->
-      let ci = site land cmask in
-      let di = (t.history lxor site) land dmask in
-      let bank = dir.(if bget choice ci >= 2 then 1 else 0) in
-      let predicted = bget bank di >= 2 in
-      ( predicted,
-        fun () ->
-          bset bank di (bump (bget bank di) taken);
-          (* Bi-Mode choice rule: don't update the selector when it
-             disagreed with the outcome but the selected bank still
-             predicted correctly — that agreement is the bank's bias
-             doing its job, not evidence about this site. *)
-          if not (predicted = taken && (bget choice ci >= 2) <> taken) then
-            bset choice ci (bump (bget choice ci) taken);
-          push_history taken )
-    | Tagged { base; tables } ->
-      let provider, predicted, altpred =
-        tage_lookup tables base site t.history
-      in
-      ( predicted,
-        fun () ->
-          (match provider with
-          | Some (i, idx) ->
-            let tg = tables.(i) in
-            bset tg.tg_ctr idx (bump (bget tg.tg_ctr idx) taken);
-            if predicted <> altpred then
-              bset tg.tg_useful idx (Bool.to_int (predicted = taken))
-          | None -> base.(site) <- bump base.(site) taken);
-          if predicted <> taken then begin
-            (* Allocate one entry in a longer-history table, preferring
-               the shortest; a useful entry is never evicted — instead
-               all candidate useful bits decay, so a stubborn row frees
-               up after repeated allocation pressure. *)
-            let floor =
-              match provider with Some (i, _) -> i + 1 | None -> 0
-            in
-            let allocated = ref false in
-            for i = floor to Array.length tables - 1 do
-              let tg = tables.(i) in
-              let idx = tage_index tg site t.history in
-              if (not !allocated) && bget tg.tg_useful idx = 0 then begin
-                tg.tg_tag.(idx) <- tage_tag tg site t.history;
-                bset tg.tg_ctr idx (if taken then 2 else 1);
-                allocated := true
-              end
-            done;
-            if not !allocated then
-              for i = floor to Array.length tables - 1 do
-                let tg = tables.(i) in
-                bset tg.tg_useful (tage_index tg site t.history) 0
-              done
-          end;
-          push_history taken )
-  in
-  if predicted = taken then begin
-    t.correct <- t.correct + 1;
-    t.site_correct.(site) <- t.site_correct.(site) + 1
-  end
-  else begin
-    t.incorrect <- t.incorrect + 1;
-    t.site_incorrect.(site) <- t.site_incorrect.(site) + 1
-  end;
-  update ()
-
-(* ---- batched replay ---- *)
+(* ---- streaming and batched replay ---- *)
 
 let bad_site t site =
   invalid_arg
@@ -361,20 +426,7 @@ let bad_site t site =
         and build disagree?)"
        site t.n_sites)
 
-(* callers have already range-checked [site] against [n_sites] *)
-let[@inline] tally t site ok =
-  if ok then begin
-    t.correct <- t.correct + 1;
-    Array.unsafe_set t.site_correct site
-      (Array.unsafe_get t.site_correct site + 1)
-  end
-  else begin
-    t.incorrect <- t.incorrect + 1;
-    Array.unsafe_set t.site_incorrect site
-      (Array.unsafe_get t.site_incorrect site + 1)
-  end
-
-(* [m] identical verdicts at once: a fast-forwarded run tail *)
+(* [m] identical verdicts on one range-checked site *)
 let[@inline] tally_n t site ok m =
   if ok then begin
     t.correct <- t.correct + m;
@@ -387,654 +439,107 @@ let[@inline] tally_n t site ok m =
       (Array.unsafe_get t.site_incorrect site + m)
   end
 
-(* a run that splits into [ok] correct then [bad] incorrect verdicts
-   (or vice versa — order does not matter to the counters) *)
-let[@inline] tally2 t site ok bad =
-  if ok > 0 then begin
-    t.correct <- t.correct + ok;
-    Array.unsafe_set t.site_correct site
-      (Array.unsafe_get t.site_correct site + ok)
-  end;
-  if bad > 0 then begin
-    t.incorrect <- t.incorrect + bad;
-    Array.unsafe_set t.site_incorrect site
-      (Array.unsafe_get t.site_incorrect site + bad)
-  end
+let hook t site taken =
+  if site < 0 || site >= t.n_sites then bad_site t site;
+  tally_n t site (step t.kernel site taken land 1 = 1) 1
+
+(* event [e] of a chunk, exactly as one {!hook} call *)
+let[@inline] one t sites tk e =
+  let site = Array.unsafe_get sites e in
+  if site < 0 || site >= t.n_sites then bad_site t site;
+  let r = step t.kernel site (Bytes.unsafe_get tk e <> '\000') in
+  tally_n t site (r land 1 = 1) 1;
+  r
+
+let span t sites tk i len =
+  for e = i to i + len - 1 do
+    ignore (one t sites tk e : int)
+  done
 
 (* Fast-forward a [p]-periodic stretch of [len] events starting at
    [i0]: the decoder certifies ev.(j) = ev.(j - p) for every event of
-   the stretch (a steady loop iteration).  [step j] processes event [j]
-   exactly as one {!hook} call would and returns bit 0 = verdict
-   (1 = correct) and bit 1 = some table write changed a stored value;
-   [snap] exposes the scheme's scalar state (its history register, or
-   always 0).  The driver steps whole periods, recording each phase's
-   verdict; once a full period is quiet — no write changed a value and
-   the scalar state came back to its period-start value — the state is
-   at a fixpoint of the period, so by induction every remaining event
-   meets the same state as its phase did and repeats the recorded
-   verdict.  Detecting the fixpoint only through actual value changes
-   keeps this exact for every scheme: a period that is still training
-   (or oscillating) never goes quiet and is simply stepped. *)
-let periodic_skip t sites vbuf ~step ~snap i0 p len =
-  let i = ref i0 and left = ref len in
-  let quiet = ref false in
+   the stretch (a steady loop iteration, or with [p = 1] a run of
+   identical events).  The driver steps whole periods, recording each
+   phase's verdict in [vbuf]; once a full period is quiet — no step
+   changed a stored value and [snap] (the history register) came back
+   to its period-start value — the state is at a fixpoint of the
+   period, so by induction every remaining event meets the same state
+   as its phase did and repeats the recorded verdict.  Detecting the
+   fixpoint only through actual value changes keeps this exact for
+   every scheme: a period that is still training (or oscillating)
+   never goes quiet and is simply stepped. *)
+let stretch t vbuf sites tk i0 p len =
+  let i = ref i0 and left = ref len and quiet = ref false in
   while (not !quiet) && !left >= 2 * p do
-    let h0 = snap () in
-    let ch = ref 0 in
+    let h0 = snap t.kernel and ch = ref 0 in
     for q = 0 to p - 1 do
-      let r = step (!i + q) in
+      let r = one t sites tk (!i + q) in
       Bytes.unsafe_set vbuf q (Char.unsafe_chr (r land 1));
-      ch := !ch lor (r land 2)
+      ch := !ch lor r
     done;
     i := !i + p;
     left := !left - p;
-    quiet := !ch = 0 && snap () = h0
+    quiet := !ch land 2 = 0 && snap t.kernel = h0
   done;
   if !quiet then begin
-    (* [m] whole periods remain; each phase [q] repeats the verdict
-       recorded during the last stepped period, on the same site
-       (periodicity makes sites.(!i + q) safe to read: it equals the
-       stepped sites.(!i + q - p)).  Only full periods are bulk-tallied
-       — a partial trailing period must be stepped so the history
-       register leaves the stretch holding the right outcomes. *)
+    (* [m] whole periods remain; each phase repeats its recorded
+       verdict on the site it was stepped with.  Only full periods are
+       bulk-tallied — a partial trailing period must be stepped so the
+       history register leaves the stretch holding the right
+       outcomes. *)
     let m = !left / p in
-    if m > 0 then begin
-      for q = 0 to p - 1 do
-        tally_n t
-          (Array.unsafe_get sites (!i + q))
-          (Bytes.unsafe_get vbuf q <> '\000')
-          m
-      done;
-      i := !i + (m * p);
-      left := !left - (m * p)
-    end
+    for q = 0 to p - 1 do
+      tally_n t
+        (Array.unsafe_get sites (!i - p + q))
+        (Bytes.unsafe_get vbuf q <> '\000')
+        m
+    done;
+    i := !i + (m * p);
+    left := !left - (m * p)
   end;
-  (* the partial trailing period, and any stretch that never went
-     quiet, is simply stepped *)
-  while !left > 0 do
-    ignore (step !i : int);
-    incr i;
-    decr left
-  done
+  span t sites tk !i !left
 
-(* a [snap] for the schemes whose whole state lives in their tables *)
-let zero_snap () = 0
+let bad_chunk fmt =
+  Printf.ksprintf (fun s -> invalid_arg ("Dynamic.hook_batch: " ^ s)) fmt
 
-(* [hook_batch t] is a chunk consumer equivalent to calling {!hook} on
-   every event of the chunk (the qcheck equivalence property enforces
-   this for all schemes), with the per-event dispatch hoisted: the core
-   is matched once per simulation, each scheme gets one tight loop over
-   the decoded arrays, and the history register lives in a local for
-   the duration of a chunk.  This is the table-update loop behind
-   [simulate_runs].
-
-   The [rl] array carries the trace's run structure: at every run head
-   [i] (the first event of a maximal stretch of identical (site, taken)
-   events within the chunk), [rl.(i)] is the stretch's length; other
-   entries are unspecified, and the lengths must tile [0, n).  Each
-   scheme fast-forwards a run once its state reaches a fixpoint under
-   the constant outcome — a saturated counter stays saturated and a
-   settled history register stays settled — so the remaining verdicts
-   are all equal and are tallied in O(1).  The [pr] array marks
-   periodic stretches the same way ([(len lsl 7) lor p] at the head of
-   a [p]-periodic stretch of [len] events, 0 elsewhere, every head
-   also a run head); those are fast-forwarded with {!periodic_skip}.
-   The fixpoint tests mirror the per-event update rules exactly;
-   nothing observable differs from stepping, and exactness does not
-   require the runs to be maximal, so a run split at a chunk boundary
-   is just two shorter runs. *)
+(* The one batched driver: a periodic head is a [p]-periodic stretch, a
+   run head of length >= 2 a 1-periodic one, and each maximal span of
+   single events is stepped in one call.  Every head is checked to lie
+   within the chunk, so a bad descriptor raises instead of reading past
+   the arrays. *)
 let hook_batch t =
-  let n_sites = t.n_sites in
-  let hmask = t.hist_mask in
   let vbuf = Bytes.create 128 in
-  match t.core with
-  | State st when t.scheme = Last_direction ->
-    fun sites tk rl pr n ->
-      let step j =
-        let site = Array.unsafe_get sites j in
-        if site < 0 || site >= n_sites then bad_site t site;
-        let taken = Bytes.unsafe_get tk j <> '\000' in
-        let c = Array.unsafe_get st site in
-        let ok = (c = 1) = taken in
-        tally t site ok;
-        let c' = Bool.to_int taken in
-        Array.unsafe_set st site c';
-        Bool.to_int ok lor (if c' <> c then 2 else 0)
-      in
-      let i = ref 0 in
-      while !i < n do
-        let i0 = !i in
-        let pd = Array.unsafe_get pr i0 in
-        if pd > 0 then begin
-          periodic_skip t sites vbuf ~step ~snap:zero_snap i0 (pd land 0x7f)
-            (pd lsr 7);
-          i := i0 + (pd lsr 7)
-        end
-        else begin
-          let site = Array.unsafe_get sites i0 in
-          if site < 0 || site >= n_sites then bad_site t site;
-          let taken = Bytes.unsafe_get tk i0 <> '\000' in
-          let k = Array.unsafe_get rl i0 in
-          (* the first verdict tests the stored direction; every later
-             event of the run re-predicts the run's own direction *)
-          tally t site (Array.unsafe_get st site = 1 = taken);
-          if k > 1 then tally_n t site true (k - 1);
-          Array.unsafe_set st site (Bool.to_int taken);
-          i := i0 + k
-        end
-      done
-  | State st ->
-    fun sites tk rl pr n ->
-      let step j =
-        let site = Array.unsafe_get sites j in
-        if site < 0 || site >= n_sites then bad_site t site;
-        let taken = Bytes.unsafe_get tk j <> '\000' in
-        let c = Array.unsafe_get st site in
-        let ok = (c >= 2) = taken in
-        tally t site ok;
-        let c' = bump c taken in
-        Array.unsafe_set st site c';
-        Bool.to_int ok lor (if c' <> c then 2 else 0)
-      in
-      let i = ref 0 in
-      while !i < n do
-        let i0 = !i in
-        let pd = Array.unsafe_get pr i0 in
-        if pd > 0 then begin
-          periodic_skip t sites vbuf ~step ~snap:zero_snap i0 (pd land 0x7f)
-            (pd lsr 7);
-          i := i0 + (pd lsr 7)
-        end
-        else begin
-          let site = Array.unsafe_get sites i0 in
-          if site < 0 || site >= n_sites then bad_site t site;
-          let taken = Bytes.unsafe_get tk i0 <> '\000' in
-          let k = Array.unsafe_get rl i0 in
-          (* closed form for k identical outcomes on a 2-bit counter:
-             the counter marches monotonically to saturation, so the
-             mispredicted steps are exactly the ones it spends on the
-             wrong side of the midpoint *)
-          let c = Array.unsafe_get st site in
-          if taken then begin
-            let bad = min k (max 0 (2 - c)) in
-            tally2 t site (k - bad) bad;
-            Array.unsafe_set st site (min 3 (c + k))
-          end
-          else begin
-            let bad = min k (max 0 (c - 1)) in
-            tally2 t site (k - bad) bad;
-            Array.unsafe_set st site (max 0 (c - k))
-          end;
-          i := i0 + k
-        end
-      done
-  | Fixed p ->
-    fun sites tk rl pr n ->
-      let step j =
-        let site = Array.unsafe_get sites j in
-        if site < 0 || site >= n_sites then bad_site t site;
-        let taken = Bytes.unsafe_get tk j <> '\000' in
-        let ok = Array.unsafe_get p site = taken in
-        tally t site ok;
-        Bool.to_int ok
-      in
-      let i = ref 0 in
-      while !i < n do
-        let i0 = !i in
-        let pd = Array.unsafe_get pr i0 in
-        if pd > 0 then begin
-          periodic_skip t sites vbuf ~step ~snap:zero_snap i0 (pd land 0x7f)
-            (pd lsr 7);
-          i := i0 + (pd lsr 7)
-        end
-        else begin
-          let site = Array.unsafe_get sites i0 in
-          if site < 0 || site >= n_sites then bad_site t site;
-          let taken = Bytes.unsafe_get tk i0 <> '\000' in
-          let k = Array.unsafe_get rl i0 in
-          tally_n t site (Array.unsafe_get p site = taken) k;
-          i := i0 + k
-        end
-      done
-  | Pattern { table; mask; xor_site } ->
-    (* [site land xsel] is [site] for gshare and 0 for plain two-level,
-       making one branchless loop serve both indexings *)
-    let xsel = if xor_site then -1 else 0 in
-    fun sites tk rl pr n ->
-      let hist = ref t.history in
-      let step j =
-        let site = Array.unsafe_get sites j in
-        if site < 0 || site >= n_sites then begin
-          t.history <- !hist;
-          bad_site t site
-        end;
-        let taken = Bytes.unsafe_get tk j <> '\000' in
-        let idx = (!hist lxor (site land xsel)) land mask in
-        let c = bget table idx in
-        let ok = (c >= 2) = taken in
-        tally t site ok;
-        let c' = bump c taken in
-        bset table idx c';
-        hist := ((!hist lsl 1) lor Bool.to_int taken) land hmask;
-        Bool.to_int ok lor (if c' <> c then 2 else 0)
-      in
-      let snap () = !hist in
-      let i = ref 0 in
-      while !i < n do
-        let i0 = !i in
-        let pd = Array.unsafe_get pr i0 in
-        if pd > 0 then begin
-          periodic_skip t sites vbuf ~step ~snap i0 (pd land 0x7f)
-            (pd lsr 7);
-          i := i0 + (pd lsr 7)
-        end
-        else begin
-          let site = Array.unsafe_get sites i0 in
-          if site < 0 || site >= n_sites then begin
-            t.history <- !hist;
-            bad_site t site
-          end;
-          let taken = Bytes.unsafe_get tk i0 <> '\000' in
-          let k = Array.unsafe_get rl i0 in
-          let d = Bool.to_int taken in
-          (* under a constant outcome the history register converges to
-             all-ones or all-zeros and then never moves again *)
-          let hstar = if taken then hmask else 0 in
-          let sx = site land xsel in
-          let j = ref 0 in
-          while !j < k do
-            if !hist = hstar then begin
-              (* settled history pins the index for the rest of the
-                 run, so the counter follows the saturating closed
-                 form *)
-              let idx = (hstar lxor sx) land mask in
-              let c = bget table idx in
-              let m = k - !j in
-              if taken then begin
-                let bad = min m (max 0 (2 - c)) in
-                tally2 t site (m - bad) bad;
-                bset table idx (min 3 (c + m))
-              end
-              else begin
-                let bad = min m (max 0 (c - 1)) in
-                tally2 t site (m - bad) bad;
-                bset table idx (max 0 (c - m))
-              end;
-              j := k
-            end
-            else begin
-              let idx = (!hist lxor sx) land mask in
-              let c = bget table idx in
-              tally t site (c >= 2 = taken);
-              bset table idx (bump c taken);
-              hist := ((!hist lsl 1) lor d) land hmask;
-              incr j
-            end
-          done;
-          i := i0 + k
-        end
-      done;
-      t.history <- !hist
-  | Shared { table; mask } ->
-    fun sites tk rl pr n ->
-      let step j =
-        let site = Array.unsafe_get sites j in
-        if site < 0 || site >= n_sites then bad_site t site;
-        let taken = Bytes.unsafe_get tk j <> '\000' in
-        let idx = site land mask in
-        let c = bget table idx in
-        let ok = (c >= 2) = taken in
-        tally t site ok;
-        let c' = bump c taken in
-        bset table idx c';
-        Bool.to_int ok lor (if c' <> c then 2 else 0)
-      in
-      let i = ref 0 in
-      while !i < n do
-        let i0 = !i in
-        let pd = Array.unsafe_get pr i0 in
-        if pd > 0 then begin
-          periodic_skip t sites vbuf ~step ~snap:zero_snap i0 (pd land 0x7f)
-            (pd lsr 7);
-          i := i0 + (pd lsr 7)
-        end
-        else begin
-          let site = Array.unsafe_get sites i0 in
-          if site < 0 || site >= n_sites then bad_site t site;
-          let taken = Bytes.unsafe_get tk i0 <> '\000' in
-          let k = Array.unsafe_get rl i0 in
-          let idx = site land mask in
-          let c = bget table idx in
-          if taken then begin
-            let bad = min k (max 0 (2 - c)) in
-            tally2 t site (k - bad) bad;
-            bset table idx (min 3 (c + k))
-          end
-          else begin
-            let bad = min k (max 0 (c - 1)) in
-            tally2 t site (k - bad) bad;
-            bset table idx (max 0 (c - k))
-          end;
-          i := i0 + k
-        end
-      done
-  | Split { choice; cmask; dir; dmask } ->
-    let d0 = dir.(0) and d1 = dir.(1) in
-    fun sites tk rl pr n ->
-      let hist = ref t.history in
-      let step j =
-        let site = Array.unsafe_get sites j in
-        if site < 0 || site >= n_sites then begin
-          t.history <- !hist;
-          bad_site t site
-        end;
-        let taken = Bytes.unsafe_get tk j <> '\000' in
-        let ci = site land cmask in
-        let cc = bget choice ci in
-        let sel = cc >= 2 in
-        let bank = if sel then d1 else d0 in
-        let di = (!hist lxor site) land dmask in
-        let c = bget bank di in
-        let ok = (c >= 2) = taken in
-        tally t site ok;
-        let c' = bump c taken in
-        bset bank di c';
-        let cc' = if ok && sel <> taken then cc else bump cc taken in
-        bset choice ci cc';
-        hist := ((!hist lsl 1) lor Bool.to_int taken) land hmask;
-        Bool.to_int ok lor (if c' <> c || cc' <> cc then 2 else 0)
-      in
-      let snap () = !hist in
-      let i = ref 0 in
-      while !i < n do
-        let i0 = !i in
-        let pd = Array.unsafe_get pr i0 in
-        if pd > 0 then begin
-          periodic_skip t sites vbuf ~step ~snap i0 (pd land 0x7f)
-            (pd lsr 7);
-          i := i0 + (pd lsr 7)
-        end
-        else begin
-          let site = Array.unsafe_get sites i0 in
-          if site < 0 || site >= n_sites then begin
-            t.history <- !hist;
-            bad_site t site
-          end;
-          let taken = Bytes.unsafe_get tk i0 <> '\000' in
-          let k = Array.unsafe_get rl i0 in
-          let d = Bool.to_int taken in
-          let hstar = if taken then hmask else 0 in
-          let ci = site land cmask in
-          let j = ref 0 in
-          while !j < k do
-            let cc = bget choice ci in
-            let sel = cc >= 2 in
-            let bank = if sel then d1 else d0 in
-            let di = (!hist lxor site) land dmask in
-            let c = bget bank di in
-            let predicted = c >= 2 in
-            let c' = bump c taken in
-            let cc' =
-              if predicted = taken && sel <> taken then cc else bump cc taken
-            in
-            if !hist = hstar && c' = c && cc' = cc then begin
-              (* full fixpoint: one more step would change neither the
-                 direction cell, the choice cell, nor the history, so
-                 every remaining event repeats this verdict *)
-              tally_n t site (predicted = taken) (k - !j);
-              j := k
-            end
-            else begin
-              tally t site (predicted = taken);
-              bset bank di c';
-              bset choice ci cc';
-              hist := ((!hist lsl 1) lor d) land hmask;
-              incr j
-            end
-          done;
-          i := i0 + k
-        end
-      done;
-      t.history <- !hist
-  | Tagged { base; tables } ->
-    (* same provider/alternate discipline as {!tage_lookup}, but carried
-       as table indices with -1 for "none" so the per-event loop
-       allocates nothing, and each table's row index is cached so the
-       allocation/decay pass after a mispredict reuses it instead of
-       re-hashing.  The site-dependent halves of the index and tag
-       hashes are hoisted per event — the formulas must stay in
-       lockstep with {!tage_index} and {!tage_tag}. *)
-    let nt = Array.length tables in
-    let idxs = Array.make (max 1 nt) 0 in
-    let hms = Array.map (fun tg -> (1 lsl tg.tg_hist) - 1) tables in
-    fun sites tk rl pr n ->
-      let hist = ref t.history in
-      let step j =
-        let site = Array.unsafe_get sites j in
-        if site < 0 || site >= n_sites then begin
-          t.history <- !hist;
-          bad_site t site
-        end;
-        let taken = Bytes.unsafe_get tk j <> '\000' in
-        let sc1 = site * 0x9E3779B1 in
-        let sk2 = (site + 0x27d4eb2f) * 0x85EBCA6B in
-        let changed = ref 0 in
-        let p_tbl = ref (-1) and p_idx = ref 0 in
-        let a_tbl = ref (-1) and a_idx = ref 0 in
-        for q = nt - 1 downto 0 do
-          let tg = Array.unsafe_get tables q in
-          let h = !hist land Array.unsafe_get hms q in
-          let x = sc1 lxor (h * 0x85EBCA6B) in
-          let idx = (x lxor (x lsr 15)) land tg.tg_mask in
-          Array.unsafe_set idxs q idx;
-          let y = ((h lxor 0x5bd1e995) * 0x9E3779B1) lxor sk2 in
-          if
-            Array.unsafe_get tg.tg_tag idx
-            = (y lxor (y lsr 15)) land tg.tg_tagmask
-          then
-            if !p_tbl < 0 then begin
-              p_tbl := q;
-              p_idx := idx
-            end
-            else if !a_tbl < 0 then begin
-              a_tbl := q;
-              a_idx := idx
-            end
+  fun sites tk rl pr n ->
+    if
+      n > Array.length sites
+      || n > Bytes.length tk
+      || n > Array.length rl
+      || n > Array.length pr
+    then bad_chunk "%d events overrun the chunk arrays" n;
+    let i = ref 0 in
+    while !i < n do
+      let i0 = !i in
+      let pd = Array.unsafe_get pr i0 in
+      let p = if pd = 0 then 1 else pd land 0x7f in
+      let len = if pd = 0 then Array.unsafe_get rl i0 else pd lsr 7 in
+      if len < 1 || len > n - i0 || p = 0 then
+        bad_chunk "head %d (run %d, period word %d) is not inside [0, %d)" i0
+          (Array.unsafe_get rl i0) pd n;
+      if len > 1 then begin
+        stretch t vbuf sites tk i0 p len;
+        i := i0 + len
+      end
+      else begin
+        let j = ref (i0 + 1) in
+        while
+          !j < n && Array.unsafe_get pr !j = 0 && Array.unsafe_get rl !j = 1
+        do
+          incr j
         done;
-        let predicted =
-          if !p_tbl >= 0 then
-            bget (Array.unsafe_get tables !p_tbl).tg_ctr !p_idx >= 2
-          else Array.unsafe_get base site >= 2
-        in
-        let altpred =
-          if !a_tbl >= 0 then
-            bget (Array.unsafe_get tables !a_tbl).tg_ctr !a_idx >= 2
-          else Array.unsafe_get base site >= 2
-        in
-        let ok = predicted = taken in
-        tally t site ok;
-        (if !p_tbl >= 0 then begin
-           let tg = Array.unsafe_get tables !p_tbl in
-           let c = bget tg.tg_ctr !p_idx in
-           let c' = bump c taken in
-           if c' <> c then begin
-             changed := 2;
-             bset tg.tg_ctr !p_idx c'
-           end;
-           if predicted <> altpred then begin
-             let u = Bool.to_int ok in
-             if bget tg.tg_useful !p_idx <> u then begin
-               changed := 2;
-               bset tg.tg_useful !p_idx u
-             end
-           end
-         end
-         else begin
-           let c = Array.unsafe_get base site in
-           let c' = bump c taken in
-           if c' <> c then begin
-             changed := 2;
-             Array.unsafe_set base site c'
-           end
-         end);
-        if not ok then begin
-          let floor = !p_tbl + 1 in
-          let allocated = ref false in
-          for q = floor to nt - 1 do
-            let tg = Array.unsafe_get tables q in
-            let idx = Array.unsafe_get idxs q in
-            if (not !allocated) && bget tg.tg_useful idx = 0 then begin
-              (let h = !hist land Array.unsafe_get hms q in
-               let y = ((h lxor 0x5bd1e995) * 0x9E3779B1) lxor sk2 in
-               tg.tg_tag.(idx) <- (y lxor (y lsr 15)) land tg.tg_tagmask);
-              bset tg.tg_ctr idx (if taken then 2 else 1);
-              changed := 2;
-              allocated := true
-            end
-          done;
-          if not !allocated then
-            for q = floor to nt - 1 do
-              let tg = Array.unsafe_get tables q in
-              let idx = Array.unsafe_get idxs q in
-              if bget tg.tg_useful idx <> 0 then begin
-                changed := 2;
-                bset tg.tg_useful idx 0
-              end
-            done
-        end;
-        hist := ((!hist lsl 1) lor Bool.to_int taken) land hmask;
-        Bool.to_int ok lor !changed
-      in
-      let snap () = !hist in
-      let i = ref 0 in
-      while !i < n do
-        let i0 = !i in
-        let pdd = Array.unsafe_get pr i0 in
-        if pdd > 0 then begin
-          periodic_skip t sites vbuf ~step ~snap i0 (pdd land 0x7f)
-            (pdd lsr 7);
-          i := i0 + (pdd lsr 7)
-        end
-        else begin
-        let site = Array.unsafe_get sites i0 in
-        if site < 0 || site >= n_sites then begin
-          t.history <- !hist;
-          bad_site t site
-        end;
-        let taken = Bytes.unsafe_get tk i0 <> '\000' in
-        let k = Array.unsafe_get rl i0 in
-        let d = Bool.to_int taken in
-        let hstar = if taken then hmask else 0 in
-        let sc1 = site * 0x9E3779B1 in
-        let sk2 = (site + 0x27d4eb2f) * 0x85EBCA6B in
-        let j = ref 0 in
-        while !j < k do
-          let p_tbl = ref (-1) and p_idx = ref 0 in
-          let a_tbl = ref (-1) and a_idx = ref 0 in
-          for q = nt - 1 downto 0 do
-            let tg = Array.unsafe_get tables q in
-            let h = !hist land Array.unsafe_get hms q in
-            let x = sc1 lxor (h * 0x85EBCA6B) in
-            let idx = (x lxor (x lsr 15)) land tg.tg_mask in
-            Array.unsafe_set idxs q idx;
-            let y = ((h lxor 0x5bd1e995) * 0x9E3779B1) lxor sk2 in
-            if
-              Array.unsafe_get tg.tg_tag idx
-              = (y lxor (y lsr 15)) land tg.tg_tagmask
-            then
-              if !p_tbl < 0 then begin
-                p_tbl := q;
-                p_idx := idx
-              end
-              else if !a_tbl < 0 then begin
-                a_tbl := q;
-                a_idx := idx
-              end
-          done;
-          let predicted =
-            if !p_tbl >= 0 then
-              bget (Array.unsafe_get tables !p_tbl).tg_ctr !p_idx >= 2
-            else Array.unsafe_get base site >= 2
-          in
-          let altpred =
-            if !a_tbl >= 0 then
-              bget (Array.unsafe_get tables !a_tbl).tg_ctr !a_idx >= 2
-            else Array.unsafe_get base site >= 2
-          in
-          if predicted = taken then begin
-            (* a correct prediction only touches the provider counter
-               and its useful bit (or the base counter); once those are
-               at their target values and the history is settled, every
-               remaining event of the run is an exact repeat *)
-            let fix = ref (!hist = hstar) in
-            (if !p_tbl >= 0 then begin
-               let tg = Array.unsafe_get tables !p_tbl in
-               let c = bget tg.tg_ctr !p_idx in
-               let c' = bump c taken in
-               if c' <> c then begin
-                 fix := false;
-                 bset tg.tg_ctr !p_idx c'
-               end;
-               if predicted <> altpred && bget tg.tg_useful !p_idx <> 1
-               then begin
-                 fix := false;
-                 bset tg.tg_useful !p_idx 1
-               end
-             end
-             else begin
-               let c = Array.unsafe_get base site in
-               let c' = bump c taken in
-               if c' <> c then begin
-                 fix := false;
-                 Array.unsafe_set base site c'
-               end
-             end);
-            if !fix then begin
-              tally_n t site true (k - !j);
-              j := k
-            end
-            else begin
-              tally t site true;
-              hist := ((!hist lsl 1) lor d) land hmask;
-              incr j
-            end
-          end
-          else begin
-            tally t site false;
-            (if !p_tbl >= 0 then begin
-               let tg = Array.unsafe_get tables !p_tbl in
-               bset tg.tg_ctr !p_idx (bump (bget tg.tg_ctr !p_idx) taken);
-               if predicted <> altpred then bset tg.tg_useful !p_idx 0
-             end
-             else
-               Array.unsafe_set base site
-                 (bump (Array.unsafe_get base site) taken));
-            let floor = !p_tbl + 1 in
-            let allocated = ref false in
-            for q = floor to nt - 1 do
-              let tg = Array.unsafe_get tables q in
-              let idx = Array.unsafe_get idxs q in
-              if (not !allocated) && bget tg.tg_useful idx = 0 then begin
-                (let h = !hist land Array.unsafe_get hms q in
-                 let y = ((h lxor 0x5bd1e995) * 0x9E3779B1) lxor sk2 in
-                 tg.tg_tag.(idx) <- (y lxor (y lsr 15)) land tg.tg_tagmask);
-                bset tg.tg_ctr idx (if taken then 2 else 1);
-                allocated := true
-              end
-            done;
-            if not !allocated then
-              for q = floor to nt - 1 do
-                let tg = Array.unsafe_get tables q in
-                bset tg.tg_useful (Array.unsafe_get idxs q) 0
-              done;
-            hist := ((!hist lsl 1) lor d) land hmask;
-            incr j
-          end
-        done;
-        i := i0 + k
-        end
-      done;
-      t.history <- !hist
+        span t sites tk i0 (!j - i0);
+        i := !j
+      end
+    done
 
 let simulate_runs ?warm scheme ~n_sites feed =
   let t = create ?warm scheme ~n_sites in

@@ -12,6 +12,10 @@
     they see the program in execution order just as a branch-prediction
     cache would.
 
+    Each scheme is one kernel: a state record and a step function that
+    predicts and updates on one branch.  Streaming {!hook} and batched
+    {!hook_batch} both call it, so every update rule is written once.
+
     {b Cold start}: every counter (per-site, shared, pattern, choice and
     TAGE base) starts at 0, tagged TAGE entries are empty, and the
     global history register is empty, so a cold predictor predicts
@@ -96,24 +100,30 @@ val hook_batch :
   t -> int array -> Bytes.t -> int array -> int array -> int -> unit
 (** [hook_batch t sites taken runs periods n] feeds one decoded chunk —
     event [i] ([0 <= i < n]) is site [sites.(i)] with outcome
-    [Bytes.get taken i <> '\000'] — equivalently to [n] {!hook} calls
-    but with the scheme dispatch hoisted out of the loop: partially
-    applying [hook_batch t] selects one tight table-update loop per
-    scheme.  [runs] carries the chunk's run structure: at each run head
-    [i] (the first index of a stretch of consecutive identical
-    (site, outcome) events), [runs.(i)] is the stretch's length [>= 1];
-    other entries are ignored, and the head lengths must tile [0, n).
-    [periods] marks periodic stretches: at the head [i] of a stretch
-    satisfying event [j] = event [j - p] throughout, [periods.(i)] is
-    [(len lsl 7) lor p] with [2 <= p <= 64], every such head also a run
-    head; everywhere else it must be 0 (an all-zero array is always
-    valid).  Both are preconditions, not checked.  Schemes use them to
-    fast-forward state fixpoints — saturated counters across a run in
-    O(1), settled periodic loop state in O(p) — with bit-identical
+    [Bytes.get taken i <> '\000'] — equivalently to [n] {!hook} calls:
+    one generic driver steps the same kernel {!hook} does, so it shares
+    every update rule.  [runs] carries the chunk's run structure: at
+    each run head [i] (the first index of a stretch of consecutive
+    identical (site, outcome) events), [runs.(i)] is the stretch's
+    length [>= 1]; other entries are ignored, and the head lengths must
+    tile [0, n).  [periods] marks periodic stretches: at the head [i] of
+    a stretch satisfying event [j] = event [j - p] throughout,
+    [periods.(i)] is [(len lsl 7) lor p] with [1 <= p <= 127], every
+    such head also a run head; everywhere else it must be 0 (an
+    all-zero array is always valid).  The driver treats a run as a
+    stretch of period 1 and steps whole periods until one leaves the
+    scheme's state unchanged; the remaining full periods then repeat
+    the recorded verdicts and are tallied in bulk, with bit-identical
     results (neither runs nor stretches need be maximal, so splitting
-    them at chunk boundaries is always sound).  This is the consumer
-    shape produced by {!Fisher92_trace.Trace.Reader.iter_runs}.
-    @raise Invalid_argument as {!hook} on an out-of-range site. *)
+    them at chunk boundaries is always sound).  Each maximal span of
+    single events is stepped in one call.  Every head is checked to lie
+    inside the chunk; that its events really repeat is trusted, and a
+    false claim gives wrong tallies but never reads outside [[0, n)].
+    This is the consumer shape produced by
+    {!Fisher92_trace.Trace.Reader.iter_runs}.
+    @raise Invalid_argument as {!hook} on an out-of-range site, if [n]
+    exceeds the length of any of the four arrays, or if a run or
+    periodic head has a length or period below 1 or ends past [n]. *)
 
 val simulate_runs :
   ?warm:Prediction.t ->

@@ -2,9 +2,11 @@
    (determinism, clean reset, per-site tallies summing to the globals,
    warm seeding that never crashes), the latent-bug regressions on the
    dynamic-prediction path (Static/warm length validation, hook site
-   bounds), hand-evaluated cold/warm semantics of the new schemes, and
-   the tournament acceptance gate: profile warming never loses on
-   geomean mispredicts, store hit and miss replay bit-identically. *)
+   bounds, batched chunk shape), hand-computed steady-state mispredicts
+   pinning the update rules, hand-evaluated cold/warm semantics of the
+   new schemes, and the tournament acceptance gate: profile warming
+   never loses on geomean mispredicts, store hit and miss replay
+   bit-identically. *)
 
 module Dynamic = Fisher92_predict.Dynamic
 module Predictor = Fisher92_predict.Predictor
@@ -211,6 +213,110 @@ let test_hook_site_bounds () =
 let test_warm_length_validated () =
   check_invalid "warm too short" "warm prediction" (fun () ->
       Dynamic.create ~warm:[| true |] Dynamic.Two_bit ~n_sites:3)
+
+(* Regression: [hook_batch] used to trust its chunk descriptors and read
+   with unsafe accessors, so a run or periodic stretch reaching past [n]
+   (or an [n] past the arrays) was silently replayed from whatever lay
+   beyond.  Here the arrays are longer than [n] and hold valid events,
+   so only the descriptors are wrong, and every scheme must refuse. *)
+let test_hook_batch_shape () =
+  List.iter
+    (fun z ->
+      let name = z.Predictor.d_name in
+      let feed sites tk rl pr n =
+        Dynamic.hook_batch
+          (Dynamic.create z.Predictor.d_scheme ~n_sites:1)
+          sites tk rl pr n
+      in
+      let sites = Array.make 64 0 and tk = Bytes.make 64 '\001' in
+      let zeros () = Array.make 64 0 in
+      let long_run = zeros () in
+      long_run.(0) <- 20;
+      check_invalid (name ^ " run past n") "hook_batch" (fun () ->
+          feed sites tk long_run (zeros ()) 8);
+      let long_period = zeros () in
+      long_period.(0) <- (40 lsl 7) lor 2;
+      check_invalid (name ^ " period past n") "hook_batch" (fun () ->
+          feed sites tk (Array.make 64 1) long_period 8);
+      check_invalid (name ^ " n past the arrays") "hook_batch" (fun () ->
+          feed sites (Bytes.make 4 '\001') (Array.make 64 1) (zeros ()) 8);
+      (* a zero period would otherwise never advance *)
+      let zero_period = zeros () in
+      zero_period.(0) <- 8 lsl 7;
+      check_invalid (name ^ " period 0") "hook_batch" (fun () ->
+          feed sites tk (Array.make 64 1) zero_period 8))
+    (zoo ())
+
+(* ---------- hand-computed oracles ---------- *)
+
+(* Streaming and batched replay share one kernel per scheme, so their
+   equivalence checks only the driver; these pin the update rules
+   themselves.  One site repeats a pattern: 50 training periods,
+   [reset_counts], then 100 measured periods.  The expected steady-state
+   mispredicts per period are worked by hand:
+   - TTTN: 1-bit misses the first T and the N; 2-bit only the N; a
+     2-bit history sees TT before both the third T and the N, so
+     2-level/2 misses one; 10- and 12-bit histories span the period and
+     miss nothing.
+   - TN: 1-bit always misses, 2-bit misses every T (it oscillates
+     between 0 and 1), and any history of two or more bits tells the
+     phases apart. *)
+let oracle_schemes =
+  [
+    ("1-bit", Dynamic.Last_direction);
+    ("2-bit", Dynamic.Two_bit);
+    ("2-level/2", Dynamic.Two_level { history_bits = 2 });
+    ("2-level/10", Dynamic.Two_level { history_bits = 10 });
+    ("gshare/12", Dynamic.Gshare { history_bits = 12 });
+  ]
+
+let on_site0 pattern periods =
+  List.concat
+    (List.init periods (fun _ -> List.map (fun t -> (0, t)) pattern))
+
+let steady_mispredicts pattern expected =
+  let train = on_site0 pattern 50 and measured = on_site0 pattern 100 in
+  let reader evs = Trace.Reader.of_string (trace_text ~n_sites:1 evs) in
+  List.iter2
+    (fun (name, scheme) want ->
+      let s = Dynamic.simulate scheme ~n_sites:1 (replay_of train) in
+      Dynamic.reset_counts s;
+      List.iter (fun (site, t) -> Dynamic.hook s site t) measured;
+      let b =
+        Dynamic.simulate_runs scheme ~n_sites:1
+          (Trace.Reader.iter_runs (reader train))
+      in
+      Dynamic.reset_counts b;
+      Trace.Reader.iter_runs (reader measured) (Dynamic.hook_batch b);
+      Alcotest.(check int) (name ^ " streaming") (100 * want)
+        (Dynamic.incorrect s);
+      Alcotest.(check int) (name ^ " batched") (100 * want)
+        (Dynamic.incorrect b))
+    oracle_schemes expected;
+  (* what the batched driver was handed: the longest run and whether
+     the decoder certified a periodic stretch *)
+  let longest = ref 0 and periodic = ref false in
+  Trace.Reader.iter_runs (reader measured) (fun _ _ rl pr n ->
+      let i = ref 0 in
+      while !i < n do
+        longest := max !longest rl.(!i);
+        if pr.(!i) > 0 then periodic := true;
+        i := !i + rl.(!i)
+      done);
+  (!longest, !periodic)
+
+let test_oracle_tttn () =
+  let longest, _ =
+    steady_mispredicts [ true; true; true; false ] [ 2; 1; 1; 0; 0 ]
+  in
+  (* one site's TTTN has no constant gap between repeats of a key, so
+     it reaches the driver as runs of three, not as a periodic
+     stretch *)
+  Alcotest.(check int) "TTT arrives as a run" 3 longest
+
+let test_oracle_tn () =
+  let _, periodic = steady_mispredicts [ true; false ] [ 2; 1; 0; 0; 0 ] in
+  Alcotest.(check bool) "TN arrives as a periodic stretch" true periodic
 
 (* ---------- new-scheme semantics, hand-evaluated ---------- *)
 
@@ -432,6 +538,15 @@ let () =
           Alcotest.test_case "hook site bounds" `Quick test_hook_site_bounds;
           Alcotest.test_case "warm length validated" `Quick
             test_warm_length_validated;
+          Alcotest.test_case "hook_batch chunk shape checked" `Quick
+            test_hook_batch_shape;
+        ] );
+      ( "oracles",
+        [
+          Alcotest.test_case "TTTN steady-state mispredicts" `Quick
+            test_oracle_tttn;
+          Alcotest.test_case "TN steady-state mispredicts" `Quick
+            test_oracle_tn;
         ] );
       ( "schemes",
         [
