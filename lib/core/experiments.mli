@@ -127,6 +127,19 @@ val crossmode : Study.t -> crossmode_row list
 
 val render_crossmode : crossmode_row list -> string
 
+val zoo_schemes : unit -> Fisher92_predict.Dynamic.scheme list
+(** The tournament roster: every scheme of
+    {!Fisher92_predict.Predictor.zoo} (smith, 2-bit, 2-level, gshare,
+    bimode, tage), in registration order. *)
+
+val replay : Study.t -> (Study.loaded * Tracing.raced list) list
+(** The study's one trace replay, which [dynamic], [dynsim],
+    [predictability], [tournament] and [h2p] all read:
+    {!Tracing.tournament_study} over 1-bit followed by {!zoo_schemes},
+    so each workload's first-dataset trace is obtained and decoded once.
+    Memoized in a single slot keyed on the physical study; a different
+    study recomputes. *)
+
 type dynamic_row = {
   dy_program : string;
   dy_dataset : string;
@@ -136,7 +149,9 @@ type dynamic_row = {
 }
 
 val dynamic : Study.t -> dynamic_row list
-(** Re-executes the first dataset of each workload with predictor hooks. *)
+(** The first dataset of each workload: the self-profile static
+    prediction against the cold 1-bit and 2-bit simulators of
+    {!replay}. *)
 
 val render_dynamic : dynamic_row list -> string
 
@@ -156,9 +171,9 @@ type dynsim_row = {
 }
 
 val dynsim : Study.t -> dynsim_row list
-(** Trace-driven: obtains each workload's first-dataset branch trace
-    (store hit or one capture run) and replays it through every scheme
-    of {!dynsim_schemes} — one execution, many simulators. *)
+(** Trace-driven: the cold simulators of {!replay} for every scheme of
+    {!dynsim_schemes}.
+    @raise Invalid_argument if a scheme is not in the replay. *)
 
 val render_dynsim : dynsim_row list -> string
 
@@ -179,11 +194,6 @@ val predictability : Study.t -> predictability_row list
 
 val render_predictability : predictability_row list -> string
 
-val zoo_schemes : unit -> Fisher92_predict.Dynamic.scheme list
-(** The tournament roster: every scheme of
-    {!Fisher92_predict.Predictor.zoo} (smith, 2-bit, 2-level, gshare,
-    bimode, tage), in registration order. *)
-
 type tournament_row = {
   tn_program : string;
   tn_scheme : string;
@@ -200,7 +210,7 @@ val tournament : Study.t -> tournament_row list
     over each workload's first-dataset trace twice — cold, and with its
     counters seeded from the accumulated profile database through the
     remap chain ({!Tracing.warm_prediction}).  One row per
-    (workload, scheme). *)
+    (workload, scheme), read from the zoo races of {!replay}. *)
 
 val render_tournament : tournament_row list -> string
 

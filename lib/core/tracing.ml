@@ -40,24 +40,6 @@ let obtain ?(store = true) ~ir ~program (d : Workload.dataset) =
        same decoder output. *)
     { reader = Trace.Reader.of_string (Trace.Writer.render w); from_store = false }
 
-let simulate_study ?domains ?store ~schemes study =
-  Pool.map ?domains
-    (fun (l : Study.loaded) ->
-      let dataset = List.hd l.workload.Workload.w_datasets in
-      let ob = obtain ?store ~ir:l.ir ~program:l.workload.w_name dataset in
-      let n_sites = Fisher92_ir.Program.n_sites l.ir in
-      (* one decode feeds every scheme: the chunk fans out over the
-         per-scheme table-update loops, so adding a scheme costs its
-         updates only, not another pass over the codec *)
-      let sims =
-        List.map (fun scheme -> (scheme, Dynamic.create scheme ~n_sites)) schemes
-      in
-      let hooks = List.map (fun (_, t) -> Dynamic.hook_batch t) sims in
-      Trace.Reader.iter_runs ob.reader (fun st tk rl pr n ->
-          List.iter (fun h -> h st tk rl pr n) hooks);
-      (l, ob, sims))
-    (Study.items study)
-
 let warm_prediction (l : Study.loaded) =
   let module Db = Fisher92_profile.Db in
   let db =

@@ -1,8 +1,8 @@
 (** Glue between the branch-trace subsystem ({!Fisher92_trace.Trace})
     and the study: key computation, capture through the VM's
     [on_branch] hook, the load-or-record store round-trip, and the
-    parallel trace-driven simulation fan-out the [dynsim] and
-    [predictability] experiments run on.
+    parallel cold/warm replay fan-out behind the study's one shared
+    trace replay ({!Experiments.replay}).
 
     Keys mirror {!Study_cache}: the workload name, the structural
     {!Fisher92_analysis.Fingerprint.program_hash} of the measured build,
@@ -36,21 +36,6 @@ val obtain :
     back, best-effort).  [~store:false] bypasses the store in both
     directions.  The replayed stream is identical either way. *)
 
-val simulate_study :
-  ?domains:int ->
-  ?store:bool ->
-  schemes:Dynamic.scheme list ->
-  Study.t ->
-  (Study.loaded * obtained * (Dynamic.scheme * Dynamic.t) list) list
-(** For every loaded workload: obtain the trace of its {e first}
-    dataset (the convention the [dynamic] experiment established) and
-    replay it through a cold simulator per scheme, on the batched
-    run-level path ({!Trace.Reader.iter_runs} into
-    {!Dynamic.simulate_runs} — bit-identical to streaming replay,
-    several times faster).  Fans the per-workload work over a
-    {!Fisher92_util.Pool}; results are merged by index, so the output
-    is deterministic and identical to a sequential run. *)
-
 val warm_prediction : Study.loaded -> Fisher92_predict.Prediction.t
 (** The profile-warming vector for a workload: an IFPROB database built
     from {e all} of its datasets' profiles (identity stamped with the
@@ -71,6 +56,12 @@ val tournament_study :
   schemes:Dynamic.scheme list ->
   Study.t ->
   (Study.loaded * obtained * raced list) list
-(** {!simulate_study}, but every scheme is replayed twice over the same
-    decoded trace — once cold and once seeded with {!warm_prediction} —
-    which is the tournament and H2P experiments' raw material. *)
+(** For every loaded workload: obtain the trace of its {e first}
+    dataset and replay it, in one decode, through two simulators per
+    scheme — one cold, one seeded with {!warm_prediction} — on the
+    batched run-level path ({!Trace.Reader.iter_runs} into
+    {!Dynamic.hook_batch}, bit-identical to streaming replay).  Fans
+    the per-workload work over a {!Fisher92_util.Pool}; results are
+    merged by index, so the output is deterministic and identical to a
+    sequential run.  Not memoized: {!Experiments.replay} is the
+    memoized per-study call the experiments read. *)

@@ -543,6 +543,13 @@ let prop_wal_corruption =
 let prop_malformed_quarantined =
   QCheck2.Test.make ~name:"malformed spool deltas always quarantine"
     ~count:100
+    ~print:(function
+      | `Garbage s -> Printf.sprintf "garbage %S" s
+      | `Mutant (d, ops) ->
+        Printf.sprintf "%s (fingerprint %s, %s) + %s" d.Delta.d_id
+          d.Delta.d_fingerprint
+          (if d.Delta.d_keys = None then "no keys" else "keys")
+          (String.concat "; " (List.map Corrupt.op_name ops)))
     Gen.(
       oneof
         [
@@ -560,9 +567,9 @@ let prop_malformed_quarantined =
         | `Garbage s -> s
         | `Mutant (d, ops) -> List.fold_left Corrupt.apply_op (Delta.render d) ops
       in
-      let parses = match Delta.parse text with
-        | (_ : Delta.t) -> true
-        | exception Sectfile.Bad _ -> false
+      let parsed = match Delta.parse text with
+        | d -> Some d
+        | exception Sectfile.Bad _ -> None
       in
       let path = Filename.concat (Service.spool_dir ~dir) "case.delta" in
       let oc = open_out_bin path in
@@ -572,9 +579,16 @@ let prop_malformed_quarantined =
       let r = Service.drain_spool svc in
       Service.close svc;
       (* an (unlikely) checksum-surviving mutation parses as the original
-         delta and is rightly ingested; everything else quarantines *)
-      if parses then r.Service.dr_acked = 1
-      else
+         delta and gets the clean delta's own verdict: acked when it is
+         current or carries keys to remap by, quarantined otherwise;
+         everything else quarantines *)
+      match parsed with
+      | Some d ->
+        let remappable = d.Delta.d_keys <> None in
+        if String.equal d.Delta.d_fingerprint fp_current || remappable then
+          r.Service.dr_acked = 1
+        else r.Service.dr_quarantined = 1
+      | None ->
         r.Service.dr_quarantined = 1
         && Sys.readdir (Service.spool_dir ~dir) = [||]
         && (Service.stats svc).Service.st_accepted = 0)

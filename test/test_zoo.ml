@@ -6,7 +6,8 @@
    pinning the update rules, hand-evaluated cold/warm semantics of the
    new schemes, and the tournament acceptance gate: profile warming
    never loses on geomean mispredicts, store hit and miss replay
-   bit-identically. *)
+   bit-identically; and the experiments' shared replay, checked against
+   a live VM hook and never served to the wrong study. *)
 
 module Dynamic = Fisher92_predict.Dynamic
 module Predictor = Fisher92_predict.Predictor
@@ -390,9 +391,10 @@ let test_warm_twobit_beats_cold () =
 
 (* ---------- warming through the remap chain ---------- *)
 
-let loaded_workloads names =
-  Fisher92.Study.items
-    (Fisher92.Study.load ~workloads:(List.map Registry.find names) ())
+let load_study names =
+  Fisher92.Study.load ~workloads:(List.map Registry.find names) ()
+
+let loaded_workloads names = Fisher92.Study.items (load_study names)
 
 (* A database whose shape does not match the build (a "previous
    version" profile missing sites) must warm through the degradation
@@ -513,6 +515,63 @@ let test_store_hit_miss_identical () =
   Alcotest.(check bool) "bit-identical tallies" true
     (List.map snd miss = List.map snd hit)
 
+(* ---------- the shared replay ---------- *)
+
+(* [dynamic] reads the shared replay instead of running the VM, so a
+   streaming hook on a live VM run stays the independent oracle that the
+   stored trace replays the branch stream the VM produces. *)
+let test_replay_matches_vm_hook () =
+  List.iter
+    (fun ((l : Fisher92.Study.loaded), races) ->
+      let dataset = List.hd l.workload.Workload.w_datasets in
+      let n_sites = Fisher92_ir.Program.n_sites l.ir in
+      List.iter
+        (fun scheme ->
+          let live = Dynamic.create scheme ~n_sites in
+          let config =
+            {
+              Fisher92_vm.Vm.default_config with
+              on_branch = Some (Dynamic.hook live);
+            }
+          in
+          let (_ : Fisher92_vm.Vm.result) =
+            Fisher92.Study.execute l.ir dataset ~config ()
+          in
+          let rc =
+            List.find (fun (rc : Tracing.raced) -> rc.rc_scheme = scheme) races
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %s: VM hook = shared replay"
+               l.workload.Workload.w_name (Dynamic.scheme_name scheme))
+            true
+            (tallies live = tallies rc.Tracing.rc_cold))
+        [ Dynamic.Last_direction; Dynamic.Two_bit ])
+    (Fisher92.Experiments.replay (load_study [ "compress"; "lfk" ]))
+
+(* The single-slot memo must never serve one study's replay to another:
+   study A, then B, then a fresh A' equal to A. *)
+let test_replay_memo_per_study () =
+  let module E = Fisher92.Experiments in
+  let sections study =
+    let dn = E.dynsim study in
+    let hp = E.h2p study in
+    ( List.map (fun (r : E.dynsim_row) -> r.dn_program) dn,
+      List.map (fun (r : E.h2p_row) -> r.hp_program) hp,
+      E.render_dynsim dn ^ E.render_h2p hp )
+  in
+  let a = load_study [ "compress" ] in
+  let b = load_study [ "spiff"; "lfk" ] in
+  let a' = load_study [ "compress" ] in
+  let dn_a, hp_a, out_a = sections a in
+  let dn_b, hp_b, _ = sections b in
+  let _, _, out_a' = sections a' in
+  let names = Alcotest.(list string) in
+  Alcotest.check names "dynsim rows of A" [ "compress" ] dn_a;
+  Alcotest.check names "h2p rows of A" [ "compress" ] hp_a;
+  Alcotest.check names "dynsim rows of B" [ "spiff"; "lfk" ] dn_b;
+  Alcotest.check names "h2p rows of B" [ "spiff"; "lfk" ] hp_b;
+  Alcotest.(check string) "A and A' render alike" out_a out_a'
+
 (* ---------- run ---------- *)
 
 let () =
@@ -568,5 +627,12 @@ let () =
           Alcotest.test_case "h2p gap closes" `Slow test_h2p_warming_closes_gap;
           Alcotest.test_case "store hit/miss identical" `Quick
             test_store_hit_miss_identical;
+        ] );
+      ( "replay",
+        [
+          Alcotest.test_case "dynamic: VM hook = shared replay" `Quick
+            test_replay_matches_vm_hook;
+          Alcotest.test_case "memo never serves a stale study" `Quick
+            test_replay_memo_per_study;
         ] );
     ]
