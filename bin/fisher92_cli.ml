@@ -46,6 +46,16 @@ let find_workload name =
     Printf.eprintf "unknown program %S; try `fisher92 list`\n" name;
     exit 2
 
+(* Domain counts: zero or a negative count is a usage error, not a quiet
+   request for one domain. *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 (* ---- list ---- *)
 
 let list_cmd =
@@ -269,7 +279,7 @@ let experiments_cmd =
                    table after the experiments")
   in
   let domains =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some positive_int) None
          & info [ "domains" ] ~docv:"N"
              ~doc:"Run the study over $(docv) domains (default: the \
                    machine's recommended domain count, or \
@@ -1006,7 +1016,7 @@ let synth_charz_cmd =
   in
   let progs = Arg.(value & pos_all string [] & info [] ~docv:"PROGRAM") in
   let domains =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some positive_int) None
          & info [ "domains" ] ~docv:"N" ~doc:"Study worker domains")
   in
   Cmd.v
@@ -1056,7 +1066,7 @@ let synth_sweep_cmd =
              ~doc:"Structural variants per (template, bias, shift) cell")
   in
   let domains =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some positive_int) None
          & info [ "domains" ] ~docv:"N" ~doc:"Worker domains for the sweep")
   in
   let cache =

@@ -184,14 +184,3 @@ let store ~fingerprint (d : Workload.dataset) (run : Measure.run) =
         ~tmp_prefix:"runcache" text
     with Sys_error _ -> ()
   end
-
-let clear () =
-  match Sys.readdir (cache_dir ()) with
-  | exception Sys_error _ -> ()
-  | entries ->
-    Array.iter
-      (fun f ->
-        if Filename.check_suffix f ".run" then
-          try Sys.remove (Filename.concat (cache_dir ()) f)
-          with Sys_error _ -> ())
-      entries

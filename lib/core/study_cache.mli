@@ -24,9 +24,6 @@ val enabled : unit -> bool
 (** False when [FISHER92_NO_CACHE] is set to anything but ["0"] or
     [""]. *)
 
-val cache_dir : unit -> string
-(** [FISHER92_CACHE_DIR], or ["_build/.fisher92-cache"]. *)
-
 val dataset_hash : Fisher92_workloads.Workload.dataset -> string
 (** 16-hex-digit FNV-1a over the dataset's name, arguments, and every
     seeded array's contents. *)
@@ -49,6 +46,3 @@ val store :
   unit
 (** Persist one measurement (atomic write).  Best-effort: an unwritable
     cache directory is ignored, never fatal. *)
-
-val clear : unit -> unit
-(** Remove every cache entry (used by the benchmark's cold runs). *)

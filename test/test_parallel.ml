@@ -26,6 +26,12 @@ let () =
   Unix.putenv "FISHER92_CACHE_DIR" cache_dir;
   Unix.putenv "FISHER92_NO_CACHE" ""
 
+(* empty the private cache so the next study run starts cold *)
+let clear_cache () =
+  Array.iter
+    (fun f -> Sys.remove (Filename.concat cache_dir f))
+    (Sys.readdir cache_dir)
+
 (* ---------- pool ---------- *)
 
 let test_pool_map_order () =
@@ -212,7 +218,7 @@ let entry_file ~fp (w : Workload.t) (d : Workload.dataset) =
     (Printf.sprintf "%s.%s.%s.run" w.w_name fp (Cache.dataset_hash d))
 
 let test_cache_roundtrip () =
-  Cache.clear ();
+  clear_cache ();
   let w, ir, d, fp, run = measured_run () in
   let n_sites = Fisher92_ir.Program.n_sites ir in
   Alcotest.(check bool) "miss on empty cache" true
@@ -259,7 +265,7 @@ let prop_poisoned_entry_never_trusted =
     (fun ops ->
       let w, ir, d, fp, run = measured_run () in
       let n_sites = Fisher92_ir.Program.n_sites ir in
-      Cache.clear ();
+      clear_cache ();
       Cache.store ~fingerprint:fp d run;
       let path = entry_file ~fp w d in
       let original = read_file path in
@@ -274,7 +280,7 @@ let prop_poisoned_entry_never_trusted =
 let test_cache_truncation_and_bitflip () =
   let w, ir, d, fp, run = measured_run () in
   let n_sites = Fisher92_ir.Program.n_sites ir in
-  Cache.clear ();
+  clear_cache ();
   Cache.store ~fingerprint:fp d run;
   let path = entry_file ~fp w d in
   let original = read_file path in
@@ -298,7 +304,7 @@ let test_cache_truncation_and_bitflip () =
     (Cache.lookup ~fingerprint:fp ~n_sites ~program:w.w_name d = None)
 
 let test_warm_cache_identical () =
-  Cache.clear ();
+  clear_cache ();
   let names = [ "lfk"; "compress"; "uncompress" ] in
   let workloads () = List.map Registry.find names in
   let cold, cold_tm = Study.load_timed ~workloads:(workloads ()) () in
@@ -315,7 +321,7 @@ let test_warm_cache_identical () =
     (E.render_all cold) (E.render_all warm)
 
 let test_progress_events () =
-  Cache.clear ();
+  clear_cache ();
   let events = ref [] in
   let _ =
     Study.load

@@ -519,7 +519,9 @@ let test_store_hit_miss_identical () =
 
 (* [dynamic] reads the shared replay instead of running the VM, so a
    streaming hook on a live VM run stays the independent oracle that the
-   stored trace replays the branch stream the VM produces. *)
+   stored trace replays the branch stream the VM produces.  Every scheme
+   in the replay is checked, so each zoo scheme's batched kernel is
+   differenced against its streaming [hook]. *)
 let test_replay_matches_vm_hook () =
   List.iter
     (fun ((l : Fisher92.Study.loaded), races) ->
@@ -545,7 +547,7 @@ let test_replay_matches_vm_hook () =
                l.workload.Workload.w_name (Dynamic.scheme_name scheme))
             true
             (tallies live = tallies rc.Tracing.rc_cold))
-        [ Dynamic.Last_direction; Dynamic.Two_bit ])
+        (Dynamic.Last_direction :: Fisher92.Experiments.zoo_schemes ()))
     (Fisher92.Experiments.replay (load_study [ "compress"; "lfk" ]))
 
 (* The single-slot memo must never serve one study's replay to another:
