@@ -135,18 +135,9 @@ let match_key key =
 
 let site_keys prog = Array.map site_key (site_fingerprints prog)
 
+(* The whole compiled image: every function, instruction, constant,
+   array declaration and site label.  [No_sharing] makes the bytes a
+   function of the values alone, not of which substructures one compile
+   happened to share. *)
 let program_hash (prog : P.t) =
-  let fps = site_fingerprints prog in
-  let parts =
-    prog.pname
-    :: string_of_int (Array.length prog.funcs)
-    :: string_of_int (P.n_sites prog)
-    :: (Array.to_list prog.funcs
-       |> List.map (fun (f : P.func) ->
-              Printf.sprintf "%s/%d" f.fname (Array.length f.code)))
-    @ (Array.to_list fps |> List.map site_key)
-    @ (Array.to_list prog.sites
-      |> List.map (fun (s : P.site_info) ->
-             Printf.sprintf "%d@%d:%s" s.s_func s.s_pc s.s_label))
-  in
-  Fnv.hash_strings parts
+  Fnv.to_hex (Fnv.hash (Marshal.to_string prog [ Marshal.No_sharing ]))

@@ -11,8 +11,8 @@
       depth, direction) rather than its index, so counters recorded
       against an old build can be re-attached to the matching sites of a
       new build;
-    - a {b program fingerprint}, a 64-bit structural hash of the compiled
-      IR, stored in the database header so that staleness is detected
+    - a {b program fingerprint}, a 64-bit hash of the whole compiled
+      image, stored in the database header so that staleness is detected
       instead of silently mis-feeding counters into the wrong branches. *)
 
 type site_fp = {
@@ -49,6 +49,9 @@ val match_key : string -> string
     numbers the members of a class). *)
 
 val program_hash : Fisher92_ir.Program.t -> string
-(** 16-hex-digit structural hash over the function inventory and every
-    site's position and fingerprint.  Any recompile that moves, adds or
-    removes a branch site changes it. *)
+(** 16-hex-digit FNV-1a hash of the whole compiled image: functions,
+    every instruction with its operands and constants, array
+    declarations, the indirect-call table and the site table.  Two
+    compiles of the same source hash equal; any change to the image,
+    including a constant-only edit, changes it.  The study cache, the
+    trace store and the profile database's staleness check key on it. *)

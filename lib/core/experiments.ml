@@ -205,8 +205,8 @@ let table1 study =
         | [] -> invalid_arg "table1: no runs"
       in
       let dce_ir = Study.compile_variant ~dce:true w in
-      let dce_run = Study.execute dce_ir dataset () in
-      let dce_insns = (Breaks.of_result dce_run).instructions in
+      let dce, _ = Study.measure ~program:w.w_name dce_ir dataset in
+      let dce_insns = dce.run.counts.instructions in
       {
         t1_program = w.w_name;
         t1_dead_pct = 100.0 *. (1.0 -. (float_of_int dce_insns /. float_of_int raw));
@@ -951,8 +951,8 @@ let inline_ablation study =
       let run = List.hd l.runs in
       let dataset = List.hd l.workload.w_datasets in
       let inl_ir = Study.compile_variant ~inline:true l.workload in
-      let inl_result = Study.execute inl_ir dataset () in
-      let inl_counts = Breaks.of_result inl_result in
+      let inl, _ = Study.measure ~program:l.workload.w_name inl_ir dataset in
+      let inl_counts = inl.run.counts in
       let base_calls = run.counts.direct_call_ret in
       let removed =
         if base_calls = 0 then 0.0
@@ -1012,8 +1012,16 @@ let gaps study =
           predicted = Some (Measure.self_prediction run);
         }
       in
-      let r = Study.execute l.ir dataset ~config () in
-      let s = Fisher92_metrics.Gaps.summarize r in
+      let e, _ =
+        Study.measure ~config ~program:l.workload.w_name l.ir dataset
+      in
+      let s =
+        match e.gaps with
+        | Some g ->
+          Fisher92_metrics.Gaps.summarize_histogram ~count:g.gap_count
+            ~sum:g.gap_sum g.gap_histogram
+        | None -> invalid_arg "gaps: the run recorded no gaps"
+      in
       {
         gp_program = l.workload.w_name;
         gp_dataset = run.dataset;
@@ -1111,10 +1119,8 @@ let switchsort study =
         let sorted_ir =
           Fisher92_minic.Compile.compile ~options l.workload.w_program
         in
-        let sorted_result = Study.execute sorted_ir dataset () in
         let sorted_run =
-          Measure.of_result ~program:l.workload.w_name ~dataset:run.dataset
-            sorted_result
+          (fst (Study.measure ~program:l.workload.w_name sorted_ir dataset)).run
         in
         let base = run.counts.instructions in
         let sorted = sorted_run.counts.instructions in
@@ -1177,10 +1183,12 @@ let overhead study =
           dump_arrays = [ Fisher92_ir.Instrument.counters_array ];
         }
       in
-      let r = Study.execute instrumented dataset ~config () in
+      let e, _ =
+        Study.measure ~config ~program:l.workload.w_name instrumented dataset
+      in
       let counters_match =
-        match r.dumped with
-        | [ (_, `Ints counters) ] ->
+        match e.dumped with
+        | [ (_, counters) ] ->
           let ok = ref true in
           Array.iteri
             (fun s enc ->
@@ -1192,7 +1200,7 @@ let overhead study =
         | _ -> false
       in
       let clean = run.counts.instructions in
-      let inst = (Breaks.of_result r).instructions in
+      let inst = e.run.counts.instructions in
       {
         ov_program = l.workload.w_name;
         ov_dataset = run.dataset;
@@ -1325,13 +1333,11 @@ let mutate_source (p : Ast.program) : Ast.program =
   }
 
 let staleness study =
-  let predictor name =
-    match Predictor.find name with
+  let bare_heuristic =
+    match Predictor.find "ball-larus" with
     | Some p -> p
-    | None -> invalid_arg ("staleness: unregistered predictor " ^ name)
+    | None -> invalid_arg "staleness: unregistered predictor ball-larus"
   in
-  let remap_chain = predictor "remap-chain" in
-  let bare_heuristic = predictor "ball-larus" in
   List.map
     (fun (l : Study.loaded) ->
       let w = l.workload in
@@ -1350,20 +1356,18 @@ let staleness study =
       let mutated = { w with Workload.w_program = mutate_source w.w_program } in
       let mir = Study.compile_variant mutated in
       let d = List.hd w.w_datasets in
-      let run =
-        Measure.of_result ~program:w.w_name ~dataset:d.ds_name
-          (Study.execute mir d ())
-      in
-      (* one extra [Remap.plan] beyond the registered predictor's own
-         call — cheap static analysis, and the provenance counts are
-         not part of the predictor interface *)
-      let e, r, pf, h, dflt = Remap.counts (Remap.plan mir db) in
-      let cx = Predictor.context ~db mir in
+      let run = (fst (Study.measure ~program:w.w_name mir d)).run in
+      (* the plan the registered "remap-chain" predictor makes from
+         [db], computed once here because its provenance counts are not
+         part of the predictor interface *)
+      let plan = Remap.plan mir db in
+      let e, r, pf, h, dflt = Remap.counts plan in
+      let cx = Predictor.context mir in
       {
         st_program = w.w_name;
         st_dataset = d.ds_name;
         st_self = Measure.ipb_self run;
-        st_remap = Measure.ipb_predicted run (Predictor.predict remap_chain cx);
+        st_remap = Measure.ipb_predicted run plan.r_prediction;
         st_heur = Measure.ipb_predicted run (Predictor.predict bare_heuristic cx);
         st_exact = e;
         st_remapped = r;

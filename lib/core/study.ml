@@ -37,6 +37,46 @@ let compile_variant ?(dce = false) ?(inline = false) (w : Workload.t) =
 let execute ir (d : Workload.dataset) ?config () =
   Vm.run ?config ir ~iargs:d.ds_iargs ~fargs:d.ds_fargs ~arrays:d.ds_arrays
 
+let entry_of_result ~program ~(config : Vm.config) (d : Workload.dataset)
+    (r : Vm.result) =
+  {
+    Study_cache.run = Measure.of_result ~program ~dataset:d.ds_name r;
+    gaps =
+      (if Option.is_some config.predicted then
+         Some
+           {
+             Study_cache.gap_count = r.gap_count;
+             gap_sum = r.gap_sum;
+             gap_histogram = r.gap_histogram;
+           }
+       else None);
+    dumped =
+      List.map
+        (function
+          | name, `Ints cells -> (name, cells)
+          | name, `Floats _ ->
+            invalid_arg ("Study.measure: float array dump " ^ name))
+        r.dumped;
+  }
+
+let measure ?(cache = true) ?fingerprint ?(config = Vm.default_config)
+    ~program ir d =
+  let fingerprint =
+    match fingerprint with
+    | Some fp -> fp
+    | None -> Fingerprint.program_hash ir
+  in
+  let key =
+    Study_cache.key ~config ~fingerprint
+      ~n_sites:(Fisher92_ir.Program.n_sites ir) ~program d
+  in
+  match if cache then Study_cache.find key else None with
+  | Some entry -> (entry, true)
+  | None ->
+    let entry = entry_of_result ~program ~config d (execute ir d ~config ()) in
+    if cache then Study_cache.save key entry;
+    (entry, false)
+
 let now () = Unix.gettimeofday ()
 
 (* Every (workload, dataset) pair is executed by an independent task: the
@@ -50,9 +90,7 @@ let load_timed ?workloads ?domains ?cache ?progress () =
     (* force the lazy registry on this domain, before any fan-out *)
     match workloads with Some ws -> ws | None -> Registry.all ()
   in
-  let use_cache =
-    (match cache with Some b -> b | None -> true) && Study_cache.enabled ()
-  in
+  let cache = match cache with Some b -> b | None -> true in
   let emit =
     match progress with
     | None -> fun _ -> ()
@@ -75,7 +113,7 @@ let load_timed ?workloads ?domains ?cache ?progress () =
         (w, ir, fp, seconds))
       workloads
   in
-  (* Phase 2: execute (one task per (workload, dataset) pair), consulting
+  (* Phase 2: measure (one task per (workload, dataset) pair), consulting
      the on-disk cache first. *)
   let pairs =
     List.concat_map
@@ -85,30 +123,16 @@ let load_timed ?workloads ?domains ?cache ?progress () =
   in
   let measured =
     Pool.map ?domains
-      (fun ((w : Workload.t), ir, fp, (d : Workload.dataset)) ->
+      (fun ((w : Workload.t), ir, fingerprint, (d : Workload.dataset)) ->
         let t0 = now () in
-        let n_sites = Fisher92_ir.Program.n_sites ir in
-        let cached_run =
-          if use_cache then
-            Study_cache.lookup ~fingerprint:fp ~n_sites ~program:w.w_name d
-          else None
-        in
-        let run, cached =
-          match cached_run with
-          | Some run -> (run, true)
-          | None ->
-            let result = execute ir d () in
-            let run =
-              Measure.of_result ~program:w.w_name ~dataset:d.ds_name result
-            in
-            if use_cache then Study_cache.store ~fingerprint:fp d run;
-            (run, false)
+        let entry, cached =
+          measure ~cache ~fingerprint ~program:w.w_name ir d
         in
         let seconds = now () -. t0 in
         emit
           (Executed
              { workload = w.w_name; dataset = d.ds_name; seconds; cached });
-        (run, seconds, cached))
+        (entry.Study_cache.run, seconds, cached))
       pairs
   in
   (* Deterministic merge: both pools return results in input order, so

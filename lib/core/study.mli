@@ -9,8 +9,9 @@
     IFPROBBER + MFPixie collection per run.
 
     The pairs are independent, so [load] drives them through a
-    {!Fisher92_util.Pool} of domains and consults the on-disk
-    {!Study_cache} before simulating; results are merged by task index,
+    {!Fisher92_util.Pool} of domains and runs each through {!measure},
+    which consults the on-disk {!Study_cache} before simulating; results
+    are merged by task index,
     which makes the parallel, cached study byte-identical to a
     sequential, cold one.  [FISHER92_DOMAINS], [FISHER92_CACHE_DIR] and
     [FISHER92_NO_CACHE] tune this from the environment. *)
@@ -73,14 +74,32 @@ val items : t -> loaded list
 val find : t -> string -> loaded
 (** By workload name.  @raise Not_found. *)
 
+val measure :
+  ?cache:bool ->
+  ?fingerprint:string ->
+  ?config:Fisher92_vm.Vm.config ->
+  program:string ->
+  Fisher92_ir.Program.t ->
+  Fisher92_workloads.Workload.dataset ->
+  Study_cache.entry * bool
+(** One run of a compiled image on a dataset, through the study cache:
+    the cached entry when there is one, else the VM's, stored for next
+    time.  The flag says whether the entry came from the cache.  This is
+    the one path by which the study and every experiment section run
+    the VM.  [fingerprint] defaults to
+    {!Fisher92_analysis.Fingerprint.program_hash} of the image;
+    [~cache:false] skips the cache even when the environment allows it.
+    @raise Invalid_argument when [config] carries an [on_branch] hook
+    or names a float array in [dump_arrays]. *)
+
 val execute :
   Fisher92_ir.Program.t ->
   Fisher92_workloads.Workload.dataset ->
   ?config:Fisher92_vm.Vm.config ->
   unit ->
   Fisher92_vm.Vm.result
-(** Run one dataset against a compiled image (used by the ablation
-    experiments that need special builds or VM hooks). *)
+(** Run one dataset against a compiled image, uncached (trace capture
+    and the benches, which need VM hooks or the raw result). *)
 
 val compile_variant :
   ?dce:bool -> ?inline:bool -> Fisher92_workloads.Workload.t ->

@@ -5,46 +5,110 @@ module Workload = Fisher92_workloads.Workload
 module Measure = Fisher92_metrics.Measure
 module Breaks = Fisher92_metrics.Breaks
 module Profile = Fisher92_profile.Profile
+module Vm = Fisher92_vm.Vm
 
 (* Bump on any change to the entry layout: old entries then fail the
    header check and are recomputed, never misparsed. *)
-let format_version = 1
+let format_version = 2
 
 let enabled = Env.cache_enabled
 let cache_dir = Env.cache_dir
 
 (* ---- dataset identity ---- *)
 
+(* Every argument and cell is folded as its printed form plus a newline
+   (decimal for ints, "%Lx" of the bits for floats) without building that
+   string: this runs once per cached run, over every seeded cell. *)
 let dataset_hash (d : Workload.dataset) =
-  let h = ref (Fnv.fold Fnv.seed d.ds_name) in
-  let add s = h := Fnv.fold (Fnv.fold !h s) "\n" in
-  List.iter (fun k -> add (string_of_int k)) d.ds_iargs;
-  add "|";
-  List.iter (fun x -> add (Printf.sprintf "%Lx" (Int64.bits_of_float x))) d.ds_fargs;
-  List.iter
-    (fun (name, seed) ->
-      add ("array " ^ name);
-      match seed with
-      | `Ints cells -> Array.iter (fun k -> add (string_of_int k)) cells
-      | `Floats cells ->
-        Array.iter
-          (fun x -> add (Printf.sprintf "%Lx" (Int64.bits_of_float x)))
-          cells)
-    d.ds_arrays;
-  Fnv.to_hex !h
+  let line fold h x = Fnv.fold (fold h x) "\n" in
+  let int = line Fnv.fold_decimal in
+  let float h x = line Fnv.fold_hex64 h (Int64.bits_of_float x) in
+  let h = Fnv.fold Fnv.seed d.ds_name in
+  let h = List.fold_left int h d.ds_iargs in
+  let h = line Fnv.fold h "|" in
+  let h = List.fold_left float h d.ds_fargs in
+  let h =
+    List.fold_left
+      (fun h (name, seed) ->
+        let h = line Fnv.fold h ("array " ^ name) in
+        match seed with
+        | `Ints cells -> Array.fold_left int h cells
+        | `Floats cells -> Array.fold_left float h cells)
+      h d.ds_arrays
+  in
+  Fnv.to_hex h
 
-(* File names carry the whole key, so distinct builds and datasets never
-   collide; the program name prefix is purely for humans. *)
-let entry_path ~fingerprint ~program d =
+(* ---- keys ---- *)
+
+type gaps = { gap_count : int; gap_sum : int; gap_histogram : int array }
+
+type entry = {
+  run : Measure.run;
+  gaps : gaps option;
+  dumped : (string * int array) list;
+}
+
+type key = {
+  k_program : string;
+  k_fingerprint : string;
+  k_n_sites : int;
+  k_dataset : string;
+  k_dshash : string;
+  k_config : string option;  (* None for a plain run *)
+  k_gaps : bool;
+  k_dump : string list;
+}
+
+(* Only the config fields that change what a run records are keyed:
+   the engines are bit-identical and fuel or output limits either trap
+   (nothing is stored) or change nothing.  The bits string is "-" for no
+   prediction, which no 0/1 string can equal. *)
+let config_digest (c : Vm.config) =
+  match (c.predicted, c.dump_arrays) with
+  | None, [] -> None
+  | predicted, names ->
+    let bits =
+      match predicted with
+      | None -> "-"
+      | Some p ->
+        String.init (Array.length p) (fun i -> if p.(i) then '1' else '0')
+    in
+    Some (Fnv.hash_strings (bits :: names))
+
+let key ?(config = Vm.default_config) ~fingerprint ~n_sites ~program d =
+  if Option.is_some config.on_branch then
+    invalid_arg
+      "Study_cache.key: a run with an on_branch hook cannot be cached";
+  {
+    k_program = program;
+    k_fingerprint = fingerprint;
+    k_n_sites = n_sites;
+    k_dataset = d.Workload.ds_name;
+    k_dshash = dataset_hash d;
+    k_config = config_digest config;
+    k_gaps = Option.is_some config.predicted;
+    k_dump = config.dump_arrays;
+  }
+
+(* File names carry the whole key, so distinct builds, datasets and
+   configs never collide; the program name prefix is purely for humans.
+   A plain run has no config part. *)
+let entry_path k =
+  let config = match k.k_config with None -> "" | Some c -> "." ^ c in
   Filename.concat (cache_dir ())
-    (Printf.sprintf "%s.%s.%s.run" program fingerprint (dataset_hash d))
+    (Printf.sprintf "%s.%s.%s%s.run" k.k_program k.k_fingerprint k.k_dshash
+       config)
 
 (* ---- serialization (the Sectfile conventions the profile db also
    follows) ---- *)
 
 let sized = Sectfile.sized
 
-let render ~fingerprint ~n_sites d (run : Measure.run) =
+let ints_line cells =
+  String.concat " " (Array.to_list (Array.map string_of_int cells))
+
+let render k (e : entry) =
+  let run = e.run in
   let buf = Buffer.create 1024 in
   let section header body end_tag =
     Sectfile.add_section buf ~header ~body ~end_tag
@@ -54,9 +118,10 @@ let render ~fingerprint ~n_sites d (run : Measure.run) =
     [
       "program " ^ sized run.program;
       "dataset " ^ sized run.dataset;
-      "fingerprint " ^ fingerprint;
-      "dshash " ^ dataset_hash d;
-      Printf.sprintf "sites %d" n_sites;
+      "fingerprint " ^ k.k_fingerprint;
+      "dshash " ^ k.k_dshash;
+      "config " ^ Option.value k.k_config ~default:"-";
+      Printf.sprintf "sites %d" k.k_n_sites;
     ]
     "endmeta";
   section "counts"
@@ -77,22 +142,59 @@ let render ~fingerprint ~n_sites d (run : Measure.run) =
           :: !counters)
     run.profile.Profile.encountered;
   section "profile" (List.rev !counters) "endprofile";
+  Option.iter
+    (fun g ->
+      section "gaps"
+        [
+          Printf.sprintf "count %d" g.gap_count;
+          Printf.sprintf "sum %d" g.gap_sum;
+          Printf.sprintf "buckets %d" (Array.length g.gap_histogram);
+          ints_line g.gap_histogram;
+        ]
+        "endgaps")
+    e.gaps;
+  List.iter
+    (fun (name, cells) ->
+      section "dump"
+        [
+          "name " ^ sized name;
+          Printf.sprintf "cells %d" (Array.length cells);
+          ints_line cells;
+        ]
+        "enddump")
+    e.dumped;
   Buffer.add_string buf "end\n";
   Buffer.contents buf
 
 (* ---- parsing: strict and total.  Any deviation returns None: a
    cache entry is repopulated, never salvaged.  Sectfile's strict
-   reader raises [Sectfile.Bad] on format damage; [lookup] converts
+   reader raises [Sectfile.Bad] on format damage; [find] converts
    both that and [Reject] into a miss. ---- *)
 
 exception Reject
+
+(* The gap histogram has one bucket per power of two of an int. *)
+let max_buckets = Sys.int_size
 
 let parse_sized s =
   match Sectfile.parse_sized ~line:0 ~what:"field" s with
   | payload -> payload
   | exception Sectfile.Bad _ -> raise Reject
 
-let parse ~fingerprint ~n_sites ~program (d : Workload.dataset) text =
+(* [n] ints on one line.  The declared count is checked against what the
+   line can hold before anything is allocated. *)
+let parse_ints ~n l =
+  if n = 0 then (if l <> "" then raise Reject; [||])
+  else if n > (String.length l + 1) / 2 then raise Reject
+  else
+    let tokens = String.split_on_char ' ' l in
+    if List.length tokens <> n then raise Reject;
+    let cell t =
+      match int_of_string_opt t with Some v -> v | None -> raise Reject
+    in
+    Array.of_list (List.map cell tokens)
+
+let parse k text =
   let c = Sectfile.cursor (Sectfile.split_lines text) in
   let next () = Sectfile.next c in
   let section header end_tag = Sectfile.strict_section c ~header ~end_tag in
@@ -111,19 +213,24 @@ let parse ~fingerprint ~n_sites ~program (d : Workload.dataset) text =
     | Some n when n >= 0 -> n
     | Some _ | None -> raise Reject
   in
+  let program = k.k_program and n_sites = k.k_n_sites in
+  let dataset = k.k_dataset in
   if not (String.equal (next ())
             (Printf.sprintf "fisher92runcache %d" format_version))
   then raise Reject;
   (match section "meta" "endmeta" with
-  | [ prog; ds; fp; dh; sites ] ->
+  | [ prog; ds; fp; dh; cfg; sites ] ->
     if not (String.equal (parse_sized (field "program" prog)) program) then
       raise Reject;
-    if not (String.equal (parse_sized (field "dataset" ds)) d.ds_name) then
+    if not (String.equal (parse_sized (field "dataset" ds)) dataset) then
       raise Reject;
-    if not (String.equal (field "fingerprint" fp) fingerprint) then
+    if not (String.equal (field "fingerprint" fp) k.k_fingerprint) then
       raise Reject;
-    if not (String.equal (field "dshash" dh) (dataset_hash d)) then
-      raise Reject;
+    if not (String.equal (field "dshash" dh) k.k_dshash) then raise Reject;
+    if not
+         (String.equal (field "config" cfg)
+            (Option.value k.k_config ~default:"-"))
+    then raise Reject;
     if int_field "sites" sites <> n_sites then raise Reject
   | _ -> raise Reject);
   let counts =
@@ -150,37 +257,67 @@ let parse ~fingerprint ~n_sites ~program (d : Workload.dataset) text =
         profile.Profile.taken.(site) <- taken
       | _ -> raise Reject)
     (section "profile" "endprofile");
+  let gaps =
+    if not k.k_gaps then None
+    else
+      match section "gaps" "endgaps" with
+      | [ count; sum; buckets; hist ] ->
+        let gap_count = int_field "count" count in
+        let gap_sum = int_field "sum" sum in
+        let n = int_field "buckets" buckets in
+        if n > max_buckets then raise Reject;
+        let gap_histogram = parse_ints ~n hist in
+        if Array.exists (fun b -> b < 0) gap_histogram
+           || Array.fold_left ( + ) 0 gap_histogram <> gap_count
+        then raise Reject;
+        Some { gap_count; gap_sum; gap_histogram }
+      | _ -> raise Reject
+  in
+  let dumped =
+    List.map
+      (fun want ->
+        match section "dump" "enddump" with
+        | [ name; cells; values ] ->
+          if not (String.equal (parse_sized (field "name" name)) want) then
+            raise Reject;
+          (want, parse_ints ~n:(int_field "cells" cells) values)
+        | _ -> raise Reject)
+      k.k_dump
+  in
   if not (String.equal (next ()) "end") then raise Reject;
   (* nothing but a trailing newline may follow *)
   if not (Sectfile.at_end c) then raise Reject;
-  { Measure.program; dataset = d.ds_name; counts; profile }
+  { run = { Measure.program; dataset; counts; profile }; gaps; dumped }
 
 (* ---- file operations ---- *)
 
-let lookup ~fingerprint ~n_sites ~program d =
+let find k =
   if not (enabled ()) then None
   else
-    let path = entry_path ~fingerprint ~program d in
-    match Sectfile.read_file path with
-    | exception Sys_error _ -> None
-    | exception End_of_file -> None
+    match Sectfile.read_file (entry_path k) with
+    | exception (Sys_error _ | End_of_file) -> None
     | text -> (
-      match parse ~fingerprint ~n_sites ~program d text with
-      | run -> Some run
-      | exception Reject -> None
-      | exception Sectfile.Bad _ -> None)
+      match parse k text with
+      | e -> Some e
+      | exception (Reject | Sectfile.Bad _) -> None)
 
-let store ~fingerprint (d : Workload.dataset) (run : Measure.run) =
+let save k e =
   if enabled () then begin
-    let n_sites = Profile.n_sites run.profile in
-    let text = render ~fingerprint ~n_sites d run in
+    let text = render k e in
     let dir = cache_dir () in
     (* Best-effort: a read-only or vanished cache directory must never
        fail the study, so every syscall error is swallowed here. *)
     try
       Sectfile.mkdir_p dir;
-      Sectfile.write_atomic
-        ~path:(entry_path ~fingerprint ~program:run.program d)
-        ~tmp_prefix:"runcache" text
+      Sectfile.write_atomic ~path:(entry_path k) ~tmp_prefix:"runcache" text
     with Sys_error _ -> ()
   end
+
+let lookup ~fingerprint ~n_sites ~program d =
+  Option.map (fun e -> e.run) (find (key ~fingerprint ~n_sites ~program d))
+
+let store ~fingerprint d (run : Measure.run) =
+  save
+    (key ~fingerprint ~n_sites:(Profile.n_sites run.profile)
+       ~program:run.program d)
+    { run; gaps = None; dumped = [] }

@@ -30,19 +30,21 @@ let quantile hist total q =
     go 0 0
   end
 
-let summarize (r : Vm.result) =
-  let total = r.gap_count in
-  if total = 0 then
+let summarize_histogram ~count ~sum hist =
+  if count = 0 then
     { g_count = 0; g_mean = 0.0; g_median = 0.0; g_p90 = 0.0; g_skew = 0.0 }
   else begin
-    let mean = float_of_int r.gap_sum /. float_of_int total in
-    let median = quantile r.gap_histogram total 0.5 in
-    let p90 = quantile r.gap_histogram total 0.9 in
+    let mean = float_of_int sum /. float_of_int count in
+    let median = quantile hist count 0.5 in
+    let p90 = quantile hist count 0.9 in
     {
-      g_count = total;
+      g_count = count;
       g_mean = mean;
       g_median = median;
       g_p90 = p90;
       g_skew = (if median > 0.0 then mean /. median else 0.0);
     }
   end
+
+let summarize (r : Vm.result) =
+  summarize_histogram ~count:r.gap_count ~sum:r.gap_sum r.gap_histogram

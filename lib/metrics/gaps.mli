@@ -21,6 +21,10 @@ val summarize : Fisher92_vm.Vm.result -> summary
 (** Summarize a run executed with [config.predicted] set.
     All-zero when the run recorded no gaps. *)
 
+val summarize_histogram : count:int -> sum:int -> int array -> summary
+(** The same summary from a run's recorded [gap_count], [gap_sum] and
+    [gap_histogram] (as the study cache keeps them). *)
+
 val bucket_bounds : int -> int * int
 (** [bucket_bounds b] is the inclusive-exclusive gap range of histogram
     bucket [b], i.e. [(2^b, 2^(b+1))]. *)

@@ -10,7 +10,16 @@ val seed : int64
 (** The FNV-1a offset basis. *)
 
 val fold : int64 -> string -> int64
-(** Mix a string into a running hash (byte by byte). *)
+(** Mix a string into a running hash (byte by byte).  Allocates nothing
+    per byte. *)
+
+val fold_decimal : int64 -> int -> int64
+(** [fold_decimal h k = fold h (string_of_int k)], without building the
+    string. *)
+
+val fold_hex64 : int64 -> int64 -> int64
+(** [fold_hex64 h x = fold h (Printf.sprintf "%Lx" x)], without
+    building the string. *)
 
 val hash : string -> int64
 (** [fold seed s]. *)

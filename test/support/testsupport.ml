@@ -109,3 +109,17 @@ let sample_program =
           ret (v "sum");
         ];
     ]
+
+(* One counted loop whose bound is the only thing [bound] changes: two
+   builds with the same branch sites that execute differently. *)
+let counted_loop bound =
+  let open Dsl in
+  program "bounded" ~entry:"main"
+    [
+      fn "main" [] ~ret:Ast.Tint
+        [
+          leti "s" (i 0);
+          for_ "k" (i 0) (i bound) [ set "s" (v "s" +: v "k") ];
+          ret (v "s");
+        ];
+    ]

@@ -427,6 +427,26 @@ let props =
   List.map QCheck_alcotest.to_alcotest
     [ prop_bad_target; prop_reused_site; prop_fall_off_end; prop_use_before_def ]
 
+(* ---------- program fingerprint ---------- *)
+
+module Fingerprint = Fisher92_analysis.Fingerprint
+
+let test_program_hash_constants () =
+  let a = T.compile (T.counted_loop 100) in
+  let b = T.compile (T.counted_loop 200) in
+  Alcotest.(check int) "same branch sites" (Program.n_sites a)
+    (Program.n_sites b);
+  Alcotest.(check bool) "the builds execute differently" true
+    ((T.run_vm a).total <> (T.run_vm b).total);
+  Alcotest.(check bool) "a constant-only edit changes the hash" false
+    (String.equal (Fingerprint.program_hash a) (Fingerprint.program_hash b));
+  Alcotest.(check string) "two compiles of one source hash equal"
+    (Fingerprint.program_hash a)
+    (Fingerprint.program_hash (T.compile (T.counted_loop 100)));
+  Alcotest.(check string) "and so do two compiles of the sample program"
+    (Fingerprint.program_hash (T.compile T.sample_program))
+    (Fingerprint.program_hash (T.compile T.sample_program))
+
 let () =
   Alcotest.run "analysis"
     [
@@ -460,6 +480,11 @@ let () =
           Alcotest.test_case "multi-block infinite loop" `Quick
             test_lint_infinite_loop_multiblock;
           Alcotest.test_case "invalid program" `Quick test_lint_invalid;
+        ] );
+      ( "fingerprint",
+        [
+          Alcotest.test_case "program hash covers constants" `Quick
+            test_program_hash_constants;
         ] );
       ("corruption properties", props);
     ]

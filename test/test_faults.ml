@@ -14,7 +14,11 @@
    The "untouched" criterion is syntactic: the corrupted text's lines
    still contain the original section block as a contiguous run, with
    the block's header line being the first occurrence of that line
-   (so a spliced-then-damaged earlier copy cannot shadow it). *)
+   (so a spliced-then-damaged earlier copy cannot shadow it).
+
+   The same corruptions hit random study-cache entries (format v2, with
+   optional gaps and dump sections), whose strict reader must miss on
+   every damaged entry rather than serve it. *)
 
 module Gen = QCheck2.Gen
 module Db = Fisher92_profile.Db
@@ -263,12 +267,190 @@ let prop_lenient_on_clean =
       let loaded, report = Db.load_lenient (Db.save db) in
       Db.clean report && db_equal db loaded)
 
+(* ---------- study-cache entries (format v2): the same corruption
+    corpus over random entries with gaps and dump sections ---------- *)
+
+module Cache = Fisher92.Study_cache
+module Sectfile = Fisher92_util.Sectfile
+module Breaks = Fisher92_metrics.Breaks
+module Vm = Fisher92_vm.Vm
+module Workload = Fisher92_workloads.Workload
+
+(* a private cache directory, immune to FISHER92_NO_CACHE *)
+let cache_dir =
+  let d = Filename.temp_file "f92faults" ".d" in
+  Sys.remove d;
+  Unix.mkdir d 0o700;
+  Unix.putenv "FISHER92_CACHE_DIR" d;
+  Unix.putenv "FISHER92_NO_CACHE" "";
+  d
+
+let clear_cache () =
+  Array.iter
+    (fun f -> Sys.remove (Filename.concat cache_dir f))
+    (Sys.readdir cache_dir)
+
+let dataset =
+  {
+    Workload.ds_name = "d 1";
+    ds_descr = "";
+    ds_iargs = [ 3; -7 ];
+    ds_fargs = [ 0.5 ];
+    ds_arrays = [ ("a", `Ints [| 1; 2; 3 |]) ];
+  }
+
+(* a key (through its config) and an entry consistent with it *)
+let entry_gen : (Cache.key * Cache.entry) Gen.t =
+  let open Gen in
+  let* program = program_gen in
+  let* n_sites = int_range 0 12 in
+  let* encountered, taken = counters_gen n_sites in
+  let* c = list_repeat 5 (int_range 0 1_000_000) in
+  let* predicted = opt (array_repeat n_sites bool) in
+  let* hist = list_size (int_range 0 40) (int_range 0 50) in
+  let* gap_sum = int_range 0 100_000 in
+  let* names = list_size (int_range 0 2) name_gen in
+  let+ cells =
+    list_repeat (List.length names) (array_size (int_range 0 16) int)
+  in
+  let names = List.mapi (fun i s -> Printf.sprintf "%s#%d" s i) names in
+  let config =
+    { Vm.default_config with predicted; dump_arrays = names }
+  in
+  let counts =
+    match c with
+    | [ instructions; cond_branches; unavoidable; direct_call_ret; jumps ] ->
+      {
+        Breaks.instructions;
+        cond_branches;
+        unavoidable;
+        direct_call_ret;
+        jumps;
+      }
+    | _ -> assert false
+  in
+  let hist = Array.of_list hist in
+  ( Cache.key ~config ~fingerprint:"0123456789abcdef" ~n_sites ~program
+      dataset,
+    {
+      Cache.run =
+        {
+          Fisher92_metrics.Measure.program;
+          dataset = dataset.ds_name;
+          counts;
+          profile = { Profile.program; encountered; taken };
+        };
+      gaps =
+        Option.map
+          (fun _ ->
+            {
+              Cache.gap_count = Array.fold_left ( + ) 0 hist;
+              gap_sum;
+              gap_histogram = hist;
+            })
+          predicted;
+      dumped = List.combine names cells;
+    } )
+
+(* save, and return the one file the save wrote *)
+let saved_entry key entry =
+  clear_cache ();
+  Cache.save key entry;
+  match Sys.readdir cache_dir with
+  | [| f |] -> Filename.concat cache_dir f
+  | _ -> failwith "expected exactly one cache entry"
+
+let read_file path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
+let write_file path text =
+  let oc = open_out_bin path in
+  output_string oc text;
+  close_out oc
+
+let prop_cache_entry_roundtrip =
+  QCheck2.Test.make ~count:200 ~name:"study cache: find (save entry) = entry"
+    entry_gen
+    (fun (key, entry) ->
+      ignore (saved_entry key entry);
+      Cache.find key = Some entry)
+
+let prop_cache_entry_never_trusted =
+  QCheck2.Test.make ~count:300
+    ~name:"study cache: corrupted v2 entries miss, never served"
+    ~print:(fun (_, ops) -> String.concat "; " (List.map op_name ops))
+    Gen.(pair entry_gen (list_size (int_range 1 3) op_gen))
+    (fun ((key, entry), ops) ->
+      let path = saved_entry key entry in
+      let original = read_file path in
+      let corrupted = List.fold_left apply_op original ops in
+      write_file path corrupted;
+      match Cache.find key with
+      | None -> true
+      | Some back -> String.equal corrupted original && back = entry)
+
+(* a declared count far beyond the bytes present, under a valid
+   checksum, is refused without allocating it *)
+let test_cache_huge_count () =
+  let key =
+    Cache.key
+      ~config:{ Vm.default_config with dump_arrays = [ "big" ] }
+      ~fingerprint:"0123456789abcdef" ~n_sites:0 ~program:"p" dataset
+  in
+  let entry =
+    {
+      Cache.run =
+        {
+          Fisher92_metrics.Measure.program = "p";
+          dataset = dataset.ds_name;
+          counts =
+            {
+              Breaks.instructions = 1;
+              cond_branches = 0;
+              unavoidable = 0;
+              direct_call_ret = 0;
+              jumps = 0;
+            };
+          profile = { Profile.program = "p"; encountered = [||]; taken = [||] };
+        };
+      gaps = None;
+      dumped = [ ("big", [| 1; 2; 3 |]) ];
+    }
+  in
+  let path = saved_entry key entry in
+  Alcotest.(check bool) "intact entry hits" true (Cache.find key = Some entry);
+  let lines = String.split_on_char '\n' (read_file path) in
+  let huge = Printf.sprintf "cells %d" max_int in
+  let rec patch = function
+    | "dump" :: name :: "cells 3" :: cells :: _ :: rest ->
+      let body = [ "dump"; name; huge; cells ] in
+      body @ [ "enddump " ^ Sectfile.checksum_of body ] @ rest
+    | l :: rest -> l :: patch rest
+    | [] -> []
+  in
+  let patched = patch lines in
+  Alcotest.(check bool) "the count line was patched" true (patched <> lines);
+  write_file path (String.concat "\n" patched);
+  let before = Gc.minor_words () in
+  Alcotest.(check bool) "huge cell count misses" true (Cache.find key = None);
+  Alcotest.(check bool) "without allocating it" true
+    (Gc.minor_words () -. before < 100_000.)
+
 let () =
   let q = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "faults"
     [
       ( "fault-injection",
         q [ prop_lenient_never_raises; prop_untouched_recovered ] );
+      ( "study cache",
+        q [ prop_cache_entry_roundtrip; prop_cache_entry_never_trusted ]
+        @ [
+            Alcotest.test_case "huge declared count" `Quick
+              test_cache_huge_count;
+          ] );
       ( "roundtrip",
         q
           [

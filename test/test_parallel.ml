@@ -12,6 +12,10 @@ module Measure = Fisher92_metrics.Measure
 module Profile = Fisher92_profile.Profile
 module Fingerprint = Fisher92_analysis.Fingerprint
 module Corrupt = Fisher92_testsupport.Corrupt
+module T = Fisher92_testsupport.Testsupport
+module Fnv = Fisher92_util.Fnv
+module Vm = Fisher92_vm.Vm
+module Experiment = Fisher92.Experiment
 module Gen = QCheck2.Gen
 
 (* Isolate the cache: this suite owns a private directory and must be
@@ -335,6 +339,204 @@ let test_progress_events () =
   Alcotest.(check int) "one compile event" 1 (List.length compiles);
   Alcotest.(check int) "one run event per dataset" 1 (List.length runs)
 
+(* ---------- cache keys ---------- *)
+
+(* dataset_hash as first defined, through printed strings *)
+let reference_dataset_hash (d : Workload.dataset) =
+  let h = ref (Fnv.fold Fnv.seed d.ds_name) in
+  let add s = h := Fnv.fold (Fnv.fold !h s) "\n" in
+  let float x = add (Printf.sprintf "%Lx" (Int64.bits_of_float x)) in
+  List.iter (fun k -> add (string_of_int k)) d.ds_iargs;
+  add "|";
+  List.iter float d.ds_fargs;
+  List.iter
+    (fun (name, seed) ->
+      add ("array " ^ name);
+      match seed with
+      | `Ints cells -> Array.iter (fun k -> add (string_of_int k)) cells
+      | `Floats cells -> Array.iter float cells)
+    d.ds_arrays;
+  Fnv.to_hex !h
+
+let test_dataset_hash_reference () =
+  let extremes =
+    {
+      Workload.ds_name = "extremes";
+      ds_descr = "";
+      ds_iargs = [ 0; -1; min_int; max_int ];
+      ds_fargs = [ 0.; -0.; nan; infinity ];
+      ds_arrays =
+        [
+          ("i", `Ints [| min_int; -10; 0; 9; max_int |]);
+          ("f", `Floats [| neg_infinity; -0.; 1e-300; nan |]);
+        ];
+    }
+  in
+  List.iter
+    (fun (d : Workload.dataset) ->
+      Alcotest.(check string) d.ds_name (reference_dataset_hash d)
+        (Cache.dataset_hash d))
+    (extremes
+    :: List.concat_map (fun (w : Workload.t) -> w.w_datasets) (Registry.all ()))
+
+let no_inputs =
+  {
+    Workload.ds_name = "none";
+    ds_descr = "";
+    ds_iargs = [];
+    ds_fargs = [];
+    ds_arrays = [];
+  }
+
+(* builds that differ only in a constant are different cache entries *)
+let test_constant_edit_misses () =
+  clear_cache ();
+  let measure bound =
+    Study.measure ~program:"bounded" (T.compile (T.counted_loop bound))
+      no_inputs
+  in
+  let a, cached_a = measure 100 in
+  Alcotest.(check bool) "first run misses" false cached_a;
+  Alcotest.(check bool) "the same build hits" true (snd (measure 100));
+  let b, cached_b = measure 200 in
+  Alcotest.(check bool) "the edited build misses" false cached_b;
+  Alcotest.(check bool) "and is measured afresh" true
+    (a.run.counts.instructions <> b.run.counts.instructions)
+
+(* ---------- cached experiment variants ---------- *)
+
+let variant_sections =
+  [ "table1"; "inline"; "gaps"; "switchsort"; "overhead"; "staleness" ]
+
+(* mfcom has a switch, so switchsort has a row *)
+let variant_study =
+  lazy
+    (Study.load ~cache:false
+       ~workloads:(List.map Registry.find [ "lfk"; "spiff"; "mfcom" ])
+       ())
+
+let render_variants () =
+  let study = Lazy.from_val (Lazy.force variant_study) in
+  String.concat ""
+    (List.map
+       (fun id ->
+         let e = List.find (fun e -> e.Experiment.e_id = id) (E.registry ()) in
+         Experiment.render_text e study)
+       variant_sections)
+
+let snapshot () =
+  List.map
+    (fun f ->
+      let st = Unix.stat (Filename.concat cache_dir f) in
+      (f, st.Unix.st_size, st.Unix.st_mtime, st.Unix.st_ino))
+    (List.sort compare (Array.to_list (Sys.readdir cache_dir)))
+
+let index_of text sub =
+  let n = String.length sub in
+  let rec go i =
+    if i + n > String.length text then None
+    else if String.sub text i n = sub then Some i
+    else go (i + 1)
+  in
+  go 0
+
+let test_variants_warm_untouched () =
+  clear_cache ();
+  let cold = render_variants () in
+  let before = snapshot () in
+  let warm = render_variants () in
+  Alcotest.(check string) "warm output byte-identical" cold warm;
+  Alcotest.(check bool) "warm pass left every entry untouched" true
+    (before = snapshot ());
+  Unix.putenv "FISHER92_NO_CACHE" "1";
+  let uncached =
+    Fun.protect
+      ~finally:(fun () -> Unix.putenv "FISHER92_NO_CACHE" "")
+      render_variants
+  in
+  Alcotest.(check string) "cache disabled renders the same" cold uncached
+
+(* flip one byte inside the first [section] of one entry carrying it:
+   the section must recompute it, render the same, and rewrite it *)
+let check_flipped_entry_recomputed section =
+  let header = "\n" ^ section ^ "\n" in
+  clear_cache ();
+  let cold = render_variants () in
+  let path =
+    match
+      List.find_opt
+        (fun (f, _, _, _) ->
+          index_of (read_file (Filename.concat cache_dir f)) header <> None)
+        (snapshot ())
+    with
+    | Some (f, _, _, _) -> Filename.concat cache_dir f
+    | None -> Alcotest.failf "no cached entry has a %s section" section
+  in
+  let original = read_file path in
+  (* the first byte of the section's first body line *)
+  let at = Option.get (index_of original header) + String.length header in
+  let b = Bytes.of_string original in
+  Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor 1));
+  write_file path (Bytes.to_string b);
+  let ino = (Unix.stat path).Unix.st_ino in
+  Alcotest.(check string) (section ^ ": recomputed output identical") cold
+    (render_variants ());
+  Alcotest.(check string) (section ^ ": entry rewritten") original
+    (read_file path);
+  Alcotest.(check bool) (section ^ ": by a fresh write") true
+    ((Unix.stat path).Unix.st_ino <> ino)
+
+let test_flipped_gaps_entry () = check_flipped_entry_recomputed "gaps"
+let test_flipped_dump_entry () = check_flipped_entry_recomputed "dump"
+
+(* the predicted bits are part of the key: a gaps entry recorded under
+   one prediction is never served for another *)
+let test_gaps_keyed_by_prediction () =
+  let w, ir, d, _, run = measured_run () in
+  clear_cache ();
+  let measure p =
+    Study.measure
+      ~config:{ Vm.default_config with predicted = Some p }
+      ~program:w.w_name ir d
+  in
+  let self = Measure.self_prediction run in
+  let flipped = Array.map not self in
+  let e_self, c1 = measure self in
+  let self_file =
+    match Sys.readdir cache_dir with
+    | [| f |] -> Filename.concat cache_dir f
+    | _ -> Alcotest.fail "expected exactly one entry"
+  in
+  let e_flipped, c2 = measure flipped in
+  Alcotest.(check (list bool)) "both miss cold" [ false; false ] [ c1; c2 ];
+  Alcotest.(check bool) "the predictions record different gaps" true
+    (e_self.gaps <> e_flipped.gaps);
+  let flipped_file =
+    match
+      List.filter
+        (fun f -> not (String.equal (Filename.concat cache_dir f) self_file))
+        (Array.to_list (Sys.readdir cache_dir))
+    with
+    | [ f ] -> Filename.concat cache_dir f
+    | _ -> Alcotest.fail "expected a second entry"
+  in
+  let e, c = measure flipped in
+  Alcotest.(check bool) "own entry hits" true (c && e.gaps = e_flipped.gaps);
+  (* the other prediction's entry, renamed into place, is refused *)
+  write_file flipped_file (read_file self_file);
+  let e, c = measure flipped in
+  Alcotest.(check bool) "a foreign gaps entry misses" false c;
+  Alcotest.(check bool) "and the run is recomputed" true
+    (e.gaps = e_flipped.gaps);
+  Alcotest.check_raises "hooked runs are refused"
+    (Invalid_argument
+       "Study_cache.key: a run with an on_branch hook cannot be cached")
+    (fun () ->
+      ignore
+        (Study.measure
+           ~config:{ Vm.default_config with on_branch = Some (fun _ _ -> ()) }
+           ~program:w.w_name ir d))
+
 let () =
   let q = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "parallel"
@@ -367,6 +569,24 @@ let () =
           Alcotest.test_case "warm run identical" `Slow
             test_warm_cache_identical;
           Alcotest.test_case "progress events" `Quick test_progress_events;
+        ] );
+      ( "cache keys",
+        [
+          Alcotest.test_case "dataset hash = printed-string definition"
+            `Quick test_dataset_hash_reference;
+          Alcotest.test_case "constant-only edit misses" `Quick
+            test_constant_edit_misses;
+          Alcotest.test_case "gaps keyed by prediction" `Quick
+            test_gaps_keyed_by_prediction;
+        ] );
+      ( "cache entry",
+        [
+          Alcotest.test_case "warm pass identical and untouched" `Slow
+            test_variants_warm_untouched;
+          Alcotest.test_case "flipped gaps entry recomputed" `Slow
+            test_flipped_gaps_entry;
+          Alcotest.test_case "flipped dump entry recomputed" `Slow
+            test_flipped_dump_entry;
         ] );
       ("poisoning", q [ prop_poisoned_entry_never_trusted ]);
     ]

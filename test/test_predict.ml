@@ -242,6 +242,27 @@ let test_remap_stale_recovers_counters () =
   Alcotest.(check int) "every site accounted for" (Program.n_sites mir)
     (exact + remapped + proof + heuristic + default)
 
+(* the whole-image fingerprint: a rebuild that changes only a constant
+   reads as stale, and its counters are re-attached by site keys to the
+   same predictions *)
+let test_remap_constant_edit () =
+  let old_ir = T.compile (T.counted_loop 100) in
+  let new_ir = T.compile (T.counted_loop 200) in
+  let p = Profile.of_run ~program:"bounded" (T.run_vm old_ir) in
+  let db = Db.create ~program:"bounded" ~n_sites:(Program.n_sites old_ir) in
+  Db.record db ~dataset:"d" p;
+  Db.set_identity db
+    ~fingerprint:(Fingerprint.program_hash old_ir)
+    ~sitekeys:(Fingerprint.site_keys old_ir);
+  let fresh = Remap.plan old_ir db and stale = Remap.plan new_ir db in
+  Alcotest.(check bool) "the recorded build is fresh" false fresh.Remap.r_stale;
+  Alcotest.(check bool) "the edited build is stale" true stale.Remap.r_stale;
+  let _, remapped, _, _, _ = Remap.counts stale in
+  Alcotest.(check int) "every covered site remapped"
+    (Profile.covered_sites p) remapped;
+  Alcotest.(check (array bool)) "same predictions" fresh.Remap.r_prediction
+    stale.Remap.r_prediction
+
 let test_remap_without_sitekeys_degrades () =
   let ir, _, _ = sample_db () in
   (* a shape-mismatched legacy db: no fingerprint, no keys, wrong count *)
@@ -293,6 +314,8 @@ let () =
           Alcotest.test_case "fresh db is exact" `Quick test_remap_fresh_is_exact;
           Alcotest.test_case "stale db remaps counters" `Quick
             test_remap_stale_recovers_counters;
+          Alcotest.test_case "constant-only rebuild is stale" `Quick
+            test_remap_constant_edit;
           Alcotest.test_case "keyless mismatch degrades" `Quick
             test_remap_without_sitekeys_degrades;
         ] );

@@ -2,6 +2,7 @@ module Rng = Fisher92_util.Rng
 module Stats = Fisher92_util.Stats
 module Env = Fisher92_util.Env
 module Varint = Fisher92_util.Varint
+module Fnv = Fisher92_util.Fnv
 
 let test_determinism () =
   let a = Rng.create 42 and b = Rng.create 42 in
@@ -398,6 +399,72 @@ let prop_zigzag_order =
       (* |zigzag n| grows with |n|, so varint length tracks magnitude *)
       Varint.zigzag n = if n >= 0 then 2 * n else (-2 * n) - 1)
 
+(* ---------- FNV-1a ---------- *)
+
+(* The published 64-bit FNV-1a test vectors. *)
+let test_fnv_vectors () =
+  List.iter
+    (fun (s, want) ->
+      Alcotest.(check string) (Printf.sprintf "fnv1a64 %S" s) want (Fnv.hex s))
+    [
+      ("", "cbf29ce484222325");
+      ("a", "af63dc4c8601ec8c");
+      ("foobar", "85944171f73967e8");
+    ]
+
+(* the definition, one byte at a time *)
+let reference_fold h s =
+  let h = ref h in
+  String.iter
+    (fun c ->
+      h :=
+        Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
+    s;
+  !h
+
+let prop_fnv_fold_reference =
+  QCheck2.Test.make ~count:1000 ~name:"fold equals the per-byte reference fold"
+    QCheck2.Gen.(pair int64 (string_size ~gen:char (int_range 0 64)))
+    (fun (h, s) -> Int64.equal (Fnv.fold h s) (reference_fold h s))
+
+let extreme_int =
+  QCheck2.Gen.(
+    oneof
+      [
+        int;
+        small_signed_int;
+        oneofl [ min_int; min_int + 1; -10; -1; 0; 9; 10; max_int ];
+      ])
+
+let prop_fnv_fold_decimal =
+  QCheck2.Test.make ~count:2000 ~name:"fold_decimal = fold of string_of_int"
+    extreme_int
+    (fun k ->
+      Int64.equal (Fnv.fold_decimal Fnv.seed k)
+        (Fnv.fold Fnv.seed (string_of_int k)))
+
+let prop_fnv_fold_hex64 =
+  QCheck2.Test.make ~count:2000 ~name:"fold_hex64 = fold of %Lx"
+    QCheck2.Gen.(
+      oneof
+        [
+          int64;
+          map Int64.bits_of_float float;
+          oneofl [ 0L; 1L; 15L; 16L; -1L; Int64.min_int; Int64.max_int ];
+        ])
+    (fun x ->
+      Int64.equal (Fnv.fold_hex64 Fnv.seed x)
+        (Fnv.fold Fnv.seed (Printf.sprintf "%Lx" x)))
+
+let test_fnv_fold_allocation_free () =
+  let s = String.make 100_000 'x' in
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Fnv.fold Fnv.seed s));
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words for 100k bytes" words)
+    true (words < 100.)
+
 let () =
   Alcotest.run "util"
     [
@@ -439,6 +506,15 @@ let () =
             test_zigzag_extremes;
           QCheck_alcotest.to_alcotest prop_zigzag_roundtrip;
           QCheck_alcotest.to_alcotest prop_zigzag_order;
+        ] );
+      ( "fnv",
+        [
+          Alcotest.test_case "FNV-1a vectors" `Quick test_fnv_vectors;
+          Alcotest.test_case "fold allocates nothing per byte" `Quick
+            test_fnv_fold_allocation_free;
+          QCheck_alcotest.to_alcotest prop_fnv_fold_reference;
+          QCheck_alcotest.to_alcotest prop_fnv_fold_decimal;
+          QCheck_alcotest.to_alcotest prop_fnv_fold_hex64;
         ] );
       ( "env",
         [
