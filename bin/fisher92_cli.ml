@@ -1072,7 +1072,9 @@ let synth_sweep_cmd =
   let cache =
     Arg.(value & opt bool true
          & info [ "cache" ] ~docv:"BOOL"
-             ~doc:"Persist compiled runs through the study cache")
+             ~doc:
+               "Persist compiled runs and gshare races through the study \
+                cache")
   in
   let format =
     Arg.(value

@@ -528,19 +528,22 @@ let render_crossmode rows =
 let zoo_schemes () =
   List.map (fun d -> d.Predictor.d_scheme) (Predictor.zoo ())
 
-(* 1-bit is the one scheme the readers need that the zoo lacks; the
-   trace readers are dropped, so the memo holds no decoder state *)
+(* 1-bit is the one scheme the readers need that the zoo lacks, and
+   only [dynamic] and [dynsim] read it, cold; the memo holds tallies,
+   no decoder or simulator state *)
 let replay_memo = Atomic.make None
 
 let replay study =
   match Atomic.get replay_memo with
   | Some (s, races) when s == study -> races
   | _ ->
-    let schemes = Dynamic.Last_direction :: zoo_schemes () in
     let races =
-      List.map
-        (fun (l, (_ : Tracing.obtained), races) -> (l, races))
-        (Tracing.tournament_study ~schemes study)
+      Fisher92_util.Pool.map
+        (fun l ->
+          ( l,
+            Tracing.races ~cold_only:[ Dynamic.Last_direction ]
+              ~schemes:(zoo_schemes ()) l ))
+        (Study.items study)
     in
     Atomic.set replay_memo (Some (study, races));
     races
@@ -553,7 +556,13 @@ let find_race races scheme =
 let cold_sim races scheme = (find_race races scheme).rc_cold
 let gshare12 = Dynamic.Gshare { history_bits = 12 }
 
-let zoo_races races = List.map (find_race races) (zoo_schemes ())
+(* every zoo scheme's (race, warm tally) *)
+let zoo_races races =
+  List.map
+    (fun scheme ->
+      let rc = find_race races scheme in
+      (rc, Option.get rc.rc_warm))
+    (zoo_schemes ())
 
 (* ------------------------------------------------------------------ *)
 (* Static vs dynamic                                                   *)
@@ -571,7 +580,7 @@ let dynamic study =
   List.map
     (fun ((l : Study.loaded), races) ->
       let run = List.hd l.runs in
-      let cold scheme = Dynamic.percent_correct (cold_sim races scheme) in
+      let cold scheme = Dynamic.tally_percent (cold_sim races scheme) in
       {
         dy_program = l.workload.w_name;
         dy_dataset = run.dataset;
@@ -635,8 +644,7 @@ let dynsim study =
         dn_schemes =
           List.map
             (fun s ->
-              let t = cold_sim races s in
-              (Dynamic.scheme_name s, Dynamic.percent_correct t))
+              (Dynamic.scheme_name s, Dynamic.tally_percent (cold_sim races s)))
             (dynsim_schemes ());
       })
     (replay study)
@@ -691,9 +699,9 @@ let predictability study =
   List.map
     (fun ((l : Study.loaded), races) ->
       let run = List.hd l.runs in
-      let gshare = cold_sim races gshare12 in
-      let sc = Dynamic.site_correct gshare
-      and si = Dynamic.site_incorrect gshare in
+      let { Dynamic.site_correct = sc; site_incorrect = si; _ } =
+        cold_sim races gshare12
+      in
       let enc = run.profile.Profile.encountered
       and tak = run.profile.Profile.taken in
       let covered = ref 0 and always = ref 0 and mostly = ref 0 in
@@ -769,20 +777,20 @@ let tournament study =
     (fun ((l : Study.loaded), races) ->
       let run = List.hd l.runs in
       let instrs = run.counts.Breaks.instructions in
-      let ipm t =
-        Breaks.per_break ~instructions:instrs ~breaks:(Dynamic.incorrect t)
+      let ipm (t : Dynamic.tally) =
+        Breaks.per_break ~instructions:instrs ~breaks:t.incorrect
       in
       List.map
-        (fun (rc : Tracing.raced) ->
+        (fun ((rc : Tracing.raced), (warm : Dynamic.tally)) ->
           {
             tn_program = l.workload.w_name;
             tn_scheme = Dynamic.scheme_name rc.rc_scheme;
-            tn_cold_pct = Dynamic.percent_correct rc.rc_cold;
-            tn_warm_pct = Dynamic.percent_correct rc.rc_warm;
-            tn_cold_mr = Dynamic.incorrect rc.rc_cold;
-            tn_warm_mr = Dynamic.incorrect rc.rc_warm;
+            tn_cold_pct = Dynamic.tally_percent rc.rc_cold;
+            tn_warm_pct = Dynamic.tally_percent warm;
+            tn_cold_mr = rc.rc_cold.incorrect;
+            tn_warm_mr = warm.incorrect;
             tn_cold_ipm = ipm rc.rc_cold;
-            tn_warm_ipm = ipm rc.rc_warm;
+            tn_warm_ipm = ipm warm;
           })
         (zoo_races races))
     (replay study)
@@ -854,9 +862,8 @@ type h2p_row = {
    history predictor still gets wrong — here, covered sites that are
    neither >=95% biased nor >=90% predicted by cold gshare/12.  The
    thresholds match the [predictability] experiment's "hard" bucket. *)
-let h2p_sites (run : Measure.run) gshare_cold =
-  let sc = Dynamic.site_correct gshare_cold
-  and si = Dynamic.site_incorrect gshare_cold in
+let h2p_sites (run : Measure.run) (gshare_cold : Dynamic.tally) =
+  let sc = gshare_cold.site_correct and si = gshare_cold.site_incorrect in
   let enc = run.profile.Profile.encountered
   and tak = run.profile.Profile.taken in
   let hard = ref [] in
@@ -888,10 +895,10 @@ let h2p study =
         hp_dyn_pct = Stats.percent dyn_hard dyn_total;
         hp_schemes =
           List.map
-            (fun (rc : Tracing.raced) ->
+            (fun ((rc : Tracing.raced), (warm : Dynamic.tally)) ->
               ( Dynamic.scheme_name rc.rc_scheme,
-                at_sites (Dynamic.site_incorrect rc.rc_cold),
-                at_sites (Dynamic.site_incorrect rc.rc_warm) ))
+                at_sites rc.rc_cold.site_incorrect,
+                at_sites warm.site_incorrect ))
             (zoo_races races);
       })
     (replay study)

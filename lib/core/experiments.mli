@@ -133,10 +133,12 @@ val zoo_schemes : unit -> Fisher92_predict.Dynamic.scheme list
     bimode, tage), in registration order. *)
 
 val replay : Study.t -> (Study.loaded * Tracing.raced list) list
-(** The study's one trace replay, which [dynamic], [dynsim],
-    [predictability], [tournament] and [h2p] all read:
-    {!Tracing.tournament_study} over 1-bit followed by {!zoo_schemes},
-    so each workload's first-dataset trace is obtained and decoded once.
+(** The study's races, which [dynamic], [dynsim], [predictability],
+    [tournament] and [h2p] all read: {!Tracing.races} over cold 1-bit
+    followed by {!zoo_schemes} cold and warm, for every workload in
+    parallel.  Each race is served
+    from the study cache when present; a workload's first-dataset trace
+    is obtained and decoded once, and only when some race misses.
     Memoized in a single slot keyed on the physical study; a different
     study recomputes. *)
 
@@ -150,7 +152,7 @@ type dynamic_row = {
 
 val dynamic : Study.t -> dynamic_row list
 (** The first dataset of each workload: the self-profile static
-    prediction against the cold 1-bit and 2-bit simulators of
+    prediction against the cold 1-bit and 2-bit races of
     {!replay}. *)
 
 val render_dynamic : dynamic_row list -> string
@@ -171,7 +173,7 @@ type dynsim_row = {
 }
 
 val dynsim : Study.t -> dynsim_row list
-(** Trace-driven: the cold simulators of {!replay} for every scheme of
+(** Trace-driven: the cold races of {!replay} for every scheme of
     {!dynsim_schemes}.
     @raise Invalid_argument if a scheme is not in the replay. *)
 

@@ -6,6 +6,7 @@ module Measure = Fisher92_metrics.Measure
 module Breaks = Fisher92_metrics.Breaks
 module Profile = Fisher92_profile.Profile
 module Vm = Fisher92_vm.Vm
+module Dynamic = Fisher92_predict.Dynamic
 
 (* Bump on any change to the entry layout: old entries then fail the
    header check and are recomputed, never misparsed. *)
@@ -59,6 +60,9 @@ type key = {
   k_dump : string list;
 }
 
+let bits_of (p : Fisher92_predict.Prediction.t) =
+  String.init (Array.length p) (fun i -> if p.(i) then '1' else '0')
+
 (* Only the config fields that change what a run records are keyed:
    the engines are bit-identical and fuel or output limits either trap
    (nothing is stored) or change nothing.  The bits string is "-" for no
@@ -67,12 +71,7 @@ let config_digest (c : Vm.config) =
   match (c.predicted, c.dump_arrays) with
   | None, [] -> None
   | predicted, names ->
-    let bits =
-      match predicted with
-      | None -> "-"
-      | Some p ->
-        String.init (Array.length p) (fun i -> if p.(i) then '1' else '0')
-    in
+    let bits = match predicted with None -> "-" | Some p -> bits_of p in
     Some (Fnv.hash_strings (bits :: names))
 
 let key ?(config = Vm.default_config) ~fingerprint ~n_sites ~program d =
@@ -104,6 +103,20 @@ let entry_path k =
 
 let sized = Sectfile.sized
 
+(* The meta section every entry opens with: the whole key, [extra]
+   lines included, so a parse can compare it line for line. *)
+let meta_lines k extra =
+  [
+    "program " ^ sized k.k_program;
+    "dataset " ^ sized k.k_dataset;
+    "fingerprint " ^ k.k_fingerprint;
+    "dshash " ^ k.k_dshash;
+  ]
+  @ extra
+  @ [ Printf.sprintf "sites %d" k.k_n_sites ]
+
+let config_line k = "config " ^ Option.value k.k_config ~default:"-"
+
 let ints_line cells =
   String.concat " " (Array.to_list (Array.map string_of_int cells))
 
@@ -114,16 +127,7 @@ let render k (e : entry) =
     Sectfile.add_section buf ~header ~body ~end_tag
   in
   Buffer.add_string buf (Printf.sprintf "fisher92runcache %d\n" format_version);
-  section "meta"
-    [
-      "program " ^ sized run.program;
-      "dataset " ^ sized run.dataset;
-      "fingerprint " ^ k.k_fingerprint;
-      "dshash " ^ k.k_dshash;
-      "config " ^ Option.value k.k_config ~default:"-";
-      Printf.sprintf "sites %d" k.k_n_sites;
-    ]
-    "endmeta";
+  section "meta" (meta_lines k [ config_line k ]) "endmeta";
   section "counts"
     [
       Printf.sprintf "instructions %d" run.counts.Breaks.instructions;
@@ -194,45 +198,42 @@ let parse_ints ~n l =
     in
     Array.of_list (List.map cell tokens)
 
+(* the rest of line [l] after ["<prefix> "] *)
+let field prefix l =
+  if String.starts_with ~prefix:(prefix ^ " ") l then
+    String.sub l (String.length prefix + 1)
+      (String.length l - String.length prefix - 1)
+  else raise Reject
+
+let int_field prefix l =
+  match int_of_string_opt (field prefix l) with
+  | Some n when n >= 0 -> n
+  | Some _ | None -> raise Reject
+
+let check_meta c k extra =
+  if
+    not
+      (List.equal String.equal
+         (Sectfile.strict_section c ~header:"meta" ~end_tag:"endmeta")
+         (meta_lines k extra))
+  then raise Reject
+
+(* "end" and one newline close an entry; nothing may follow *)
+let check_end c text =
+  if not (String.equal (Sectfile.next c) "end") then raise Reject;
+  if not (Sectfile.at_end c && String.ends_with ~suffix:"\n" text) then
+    raise Reject
+
 let parse k text =
   let c = Sectfile.cursor (Sectfile.split_lines text) in
   let next () = Sectfile.next c in
   let section header end_tag = Sectfile.strict_section c ~header ~end_tag in
-  let field prefix l =
-    match
-      if String.starts_with ~prefix:(prefix ^ " ") l then
-        Some (String.sub l (String.length prefix + 1)
-                (String.length l - String.length prefix - 1))
-      else None
-    with
-    | Some rest -> rest
-    | None -> raise Reject
-  in
-  let int_field prefix l =
-    match int_of_string_opt (field prefix l) with
-    | Some n when n >= 0 -> n
-    | Some _ | None -> raise Reject
-  in
   let program = k.k_program and n_sites = k.k_n_sites in
   let dataset = k.k_dataset in
   if not (String.equal (next ())
             (Printf.sprintf "fisher92runcache %d" format_version))
   then raise Reject;
-  (match section "meta" "endmeta" with
-  | [ prog; ds; fp; dh; cfg; sites ] ->
-    if not (String.equal (parse_sized (field "program" prog)) program) then
-      raise Reject;
-    if not (String.equal (parse_sized (field "dataset" ds)) dataset) then
-      raise Reject;
-    if not (String.equal (field "fingerprint" fp) k.k_fingerprint) then
-      raise Reject;
-    if not (String.equal (field "dshash" dh) k.k_dshash) then raise Reject;
-    if not
-         (String.equal (field "config" cfg)
-            (Option.value k.k_config ~default:"-"))
-    then raise Reject;
-    if int_field "sites" sites <> n_sites then raise Reject
-  | _ -> raise Reject);
+  check_meta c k [ config_line k ];
   let counts =
     match section "counts" "endcounts" with
     | [ a; b; c; e; f ] ->
@@ -284,34 +285,39 @@ let parse k text =
         | _ -> raise Reject)
       k.k_dump
   in
-  if not (String.equal (next ()) "end") then raise Reject;
-  (* nothing but a trailing newline may follow *)
-  if not (Sectfile.at_end c) then raise Reject;
+  check_end c text;
   { run = { Measure.program; dataset; counts; profile }; gaps; dumped }
 
 (* ---- file operations ---- *)
 
-let find k =
+(* A miss on anything unreadable or unparsable: an entry is recomputed,
+   never salvaged. *)
+let read_entry path parse =
   if not (enabled ()) then None
   else
-    match Sectfile.read_file (entry_path k) with
+    match Sectfile.read_file path with
     | exception (Sys_error _ | End_of_file) -> None
     | text -> (
-      match parse k text with
+      match parse text with
       | e -> Some e
       | exception (Reject | Sectfile.Bad _) -> None)
 
-let save k e =
+let write_entry ~path ~tmp_prefix render =
   if enabled () then begin
-    let text = render k e in
+    let text = render () in
     let dir = cache_dir () in
     (* Best-effort: a read-only or vanished cache directory must never
        fail the study, so every syscall error is swallowed here. *)
     try
       Sectfile.mkdir_p dir;
-      Sectfile.write_atomic ~path:(entry_path k) ~tmp_prefix:"runcache" text
+      Sectfile.write_atomic ~path ~tmp_prefix text
     with Sys_error _ -> ()
   end
+
+let find k = read_entry (entry_path k) (parse k)
+
+let save k e =
+  write_entry ~path:(entry_path k) ~tmp_prefix:"runcache" (fun () -> render k e)
 
 let lookup ~fingerprint ~n_sites ~program d =
   Option.map (fun e -> e.run) (find (key ~fingerprint ~n_sites ~program d))
@@ -321,3 +327,109 @@ let store ~fingerprint d (run : Measure.run) =
     (key ~fingerprint ~n_sites:(Profile.n_sites run.profile)
        ~program:run.program d)
     { run; gaps = None; dumped = [] }
+
+(* ---- race entries ---- *)
+
+(* Bump on any change to the race entry layout. *)
+let race_version = 1
+
+type race_key = { r_run : key; r_scheme : string; r_warm : string }
+
+(* A warm digest is 16 hex digits, which "cold" can never equal. *)
+let race_key k ?warm scheme =
+  if Option.is_some k.k_config then
+    invalid_arg "Study_cache.race_key: the trace key must be a plain run's";
+  {
+    r_run = k;
+    r_scheme = Dynamic.scheme_key scheme;
+    r_warm =
+      (match warm with
+      | None -> "cold"
+      | Some p -> Fnv.hash_strings [ bits_of p ]);
+  }
+
+let race_path r =
+  let k = r.r_run in
+  Filename.concat (cache_dir ())
+    (Printf.sprintf "%s.%s.%s.%s.race" k.k_program k.k_fingerprint k.k_dshash
+       (Fnv.hash_strings [ r.r_scheme; r.r_warm ]))
+
+let race_meta r = [ "scheme " ^ sized r.r_scheme; "warm " ^ r.r_warm ]
+
+(* Only sites with a tallied branch get a line, in site order. *)
+let render_race r (t : Dynamic.tally) =
+  let n_sites = r.r_run.k_n_sites in
+  let lines = ref [] in
+  for s = n_sites - 1 downto 0 do
+    let c = t.site_correct.(s) and i = t.site_incorrect.(s) in
+    if c > 0 || i > 0 then lines := Printf.sprintf "%d %d %d" s c i :: !lines
+  done;
+  let buf = Buffer.create 1024 in
+  Buffer.add_string buf (Printf.sprintf "fisher92race %d\n" race_version);
+  Sectfile.add_section buf ~header:"meta"
+    ~body:(meta_lines r.r_run (race_meta r))
+    ~end_tag:"endmeta";
+  Sectfile.add_section buf ~header:"tally"
+    ~body:
+      (Printf.sprintf "correct %d" t.correct
+      :: Printf.sprintf "incorrect %d" t.incorrect
+      :: Printf.sprintf "entries %d" (List.length !lines)
+      :: !lines)
+    ~end_tag:"endtally";
+  Buffer.add_string buf "end\n";
+  Buffer.contents buf
+
+(* The entry count is checked against the site count and the lines
+   present before the per-site arrays are made; every site must be in
+   range and above the one before, and the per-site counts must add up
+   to the totals without overflowing them. *)
+let parse_race r text =
+  let n_sites = r.r_run.k_n_sites in
+  let c = Sectfile.cursor (Sectfile.split_lines text) in
+  if
+    not
+      (String.equal (Sectfile.next c)
+         (Printf.sprintf "fisher92race %d" race_version))
+  then raise Reject;
+  check_meta c r.r_run (race_meta r);
+  let tally =
+    match Sectfile.strict_section c ~header:"tally" ~end_tag:"endtally" with
+    | correct :: incorrect :: entries :: sites ->
+      let correct = int_field "correct" correct in
+      let incorrect = int_field "incorrect" incorrect in
+      let n = int_field "entries" entries in
+      if n > n_sites || n <> List.length sites then raise Reject;
+      let site_correct = Array.make n_sites 0 in
+      let site_incorrect = Array.make n_sites 0 in
+      let last = ref (-1) and left_c = ref correct and left_i = ref incorrect in
+      List.iter
+        (fun l ->
+          match List.map int_of_string_opt (String.split_on_char ' ' l) with
+          | [ Some s; Some sc; Some si ]
+            when s > !last && s < n_sites && sc >= 0 && si >= 0
+                 && (sc > 0 || si > 0)
+                 && sc <= !left_c && si <= !left_i ->
+            last := s;
+            site_correct.(s) <- sc;
+            site_incorrect.(s) <- si;
+            left_c := !left_c - sc;
+            left_i := !left_i - si
+          | _ -> raise Reject)
+        sites;
+      if !left_c <> 0 || !left_i <> 0 then raise Reject;
+      { Dynamic.correct; incorrect; site_correct; site_incorrect }
+    | _ -> raise Reject
+  in
+  check_end c text;
+  tally
+
+let find_race r = read_entry (race_path r) (parse_race r)
+
+let save_race r (t : Dynamic.tally) =
+  let n_sites = r.r_run.k_n_sites in
+  if
+    Array.length t.site_correct <> n_sites
+    || Array.length t.site_incorrect <> n_sites
+  then invalid_arg "Study_cache.save_race: tally and key disagree on sites";
+  write_entry ~path:(race_path r) ~tmp_prefix:"racecache" (fun () ->
+      render_race r t)

@@ -1,4 +1,5 @@
-(** On-disk cache of executed (program, dataset) measurements.
+(** On-disk cache of executed (program, dataset) measurements and of
+    predictor races over their traces.
 
     A VM run without an [on_branch] hook is a pure function of the
     compiled image, the dataset bytes and the config fields that change
@@ -8,6 +9,13 @@
     of their own builds (global DCE, inlining, switch reordering, the
     stale-profile mutation, IFPROBBER instrumentation) and configs (gap
     tracking under a prediction, counter-array dumps).
+
+    A {e race} (one predictor scheme, cold or profile-warmed, replayed
+    over one run's branch trace) is a pure function of the trace and
+    the scheme, so its tallies are cached the same way: every race the
+    suite makes ([dynamic], [dynsim], [predictability], [tournament],
+    [h2p] and [synthpool]'s characterization) is served from here once
+    the cache is warm, and no trace is decoded (see {!race_key}).
 
     An entry is keyed by
     - the program name;
@@ -23,7 +31,7 @@
     changing a dataset or a prediction, or upgrading the format each
     miss cleanly instead of serving stale counters.
 
-    An entry (format v2) holds the instruction counts and the branch
+    A run entry (format v2) holds the instruction counts and the branch
     profile, plus a [gaps] section (gap count, sum and histogram) when
     the config set [predicted], and one [dump] section (name and int
     cells) per name in [dump_arrays].  The format follows the profile
@@ -101,3 +109,39 @@ val store :
   Fisher92_metrics.Measure.run ->
   unit
 (** [save] of a plain run's entry. *)
+
+(** {2 Race entries} *)
+
+type race_key
+(** Where one race's tallies live and what they must match. *)
+
+val race_key :
+  key ->
+  ?warm:Fisher92_predict.Prediction.t ->
+  Fisher92_predict.Dynamic.scheme ->
+  race_key
+(** [race_key k ?warm scheme]: the race of [scheme] over the trace of
+    the plain run [k] (its program name, fingerprint, site count,
+    dataset name and hash), from cold or, with [warm], from the state
+    that prediction seeds.  The key adds
+    {!Fisher92_predict.Dynamic.scheme_key}, which covers every scheme
+    argument, and a digest of the [warm] bits (or ["cold"]).  The file
+    name ([<program>.<fingerprint>.<dshash>.<digest>.race]) carries a
+    digest of the scheme key and warm part; the entry's meta section
+    repeats the whole key and is checked line for line.
+    @raise Invalid_argument when [k] carries a config, or on a [Static]
+    scheme. *)
+
+val find_race : race_key -> Fisher92_predict.Dynamic.tally option
+(** The cached tallies, or [None] when absent, damaged, recorded under
+    another key, or inconsistent (a site out of range or repeated, or
+    per-site counts that do not add up to the totals).  Declared counts
+    are checked against the site count and the lines present before
+    anything is allocated.  Never raises. *)
+
+val save_race : race_key -> Fisher92_predict.Dynamic.tally -> unit
+(** Persist one race (atomic write, best-effort like {!save}): the
+    totals, then one [site correct incorrect] line per site with a
+    tallied branch.
+    @raise Invalid_argument when the per-site arrays do not have the
+    key's site count. *)

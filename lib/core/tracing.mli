@@ -1,13 +1,16 @@
 (** Glue between the branch-trace subsystem ({!Fisher92_trace.Trace})
     and the study: key computation, capture through the VM's
     [on_branch] hook, the load-or-record store round-trip, and the
-    parallel cold/warm replay fan-out behind the study's one shared
-    trace replay ({!Experiments.replay}).
+    predictor races the experiments read: the cached per-workload path
+    ({!races}, behind {!Experiments.replay} and the synthetic pool's
+    characterization) and the uncached replay it is checked against
+    ({!tournament_study}).
 
-    Keys mirror {!Study_cache}: the workload name, the structural
-    {!Fisher92_analysis.Fingerprint.program_hash} of the measured build,
-    and the FNV-1a dataset-contents hash — so a recompiled program or a
-    regenerated dataset silently invalidates its stored traces. *)
+    Keys mirror {!Study_cache}: the workload name, the
+    {!Fisher92_analysis.Fingerprint.program_hash} of the measured build
+    (a hash of the whole compiled image), and the FNV-1a
+    dataset-contents hash — so a recompiled program or a regenerated
+    dataset silently invalidates its stored traces and races. *)
 
 module Trace = Fisher92_trace.Trace
 module Dynamic = Fisher92_predict.Dynamic
@@ -46,9 +49,30 @@ val warm_prediction : Study.loaded -> Fisher92_predict.Prediction.t
 
 type raced = {
   rc_scheme : Dynamic.scheme;
-  rc_cold : Dynamic.t;  (** simulated from cold state *)
-  rc_warm : Dynamic.t;  (** simulated from profile-warmed state *)
+  rc_cold : Dynamic.tally;  (** replayed from cold state *)
+  rc_warm : Dynamic.tally option;
+      (** replayed from profile-warmed state; [None] for a [cold_only]
+          scheme *)
 }
+
+val races :
+  ?cache:bool ->
+  ?cold_only:Dynamic.scheme list ->
+  schemes:Dynamic.scheme list ->
+  Study.loaded ->
+  raced list
+(** The races of one loaded workload over the trace of its {e first}
+    dataset: every scheme in [cold_only] (default none) from cold, then
+    every scheme in [schemes] from cold and seeded with
+    {!warm_prediction}, in that order.  Each race is looked up in the
+    study cache ({!Study_cache.find_race}); only when some race misses
+    is the trace obtained ({!obtain}), and then just the
+    missing races are replayed, in one shared decode, and saved.  A warm
+    cache therefore decodes no trace and runs no VM.  [~cache:false]
+    (or [FISHER92_NO_CACHE]) replays every race and saves none.  The
+    tallies are identical either way.
+    @raise Invalid_argument on a [Static] scheme while the cache is on:
+    its prediction is not part of any key. *)
 
 val tournament_study :
   ?domains:int ->
@@ -56,12 +80,13 @@ val tournament_study :
   schemes:Dynamic.scheme list ->
   Study.t ->
   (Study.loaded * obtained * raced list) list
-(** For every loaded workload: obtain the trace of its {e first}
-    dataset and replay it, in one decode, through two simulators per
-    scheme — one cold, one seeded with {!warm_prediction} — on the
-    batched run-level path ({!Trace.Reader.iter_runs} into
-    {!Dynamic.hook_batch}, bit-identical to streaming replay).  Fans
-    the per-workload work over a {!Fisher92_util.Pool}; results are
-    merged by index, so the output is deterministic and identical to a
-    sequential run.  Not memoized: {!Experiments.replay} is the
-    memoized per-study call the experiments read. *)
+(** The uncached replay: for every loaded workload, obtain the trace of
+    its {e first} dataset and replay it, in one decode, through two
+    simulators per scheme (one cold, one seeded with
+    {!warm_prediction}) on the batched run-level path
+    ({!Trace.Reader.iter_runs} into {!Dynamic.hook_batch},
+    bit-identical to streaming replay), never reading or writing the
+    study cache.  Fans the per-workload work over a
+    {!Fisher92_util.Pool}; results are merged by index, so the output is
+    deterministic and identical to a sequential run.  Tests difference
+    cached races against it. *)

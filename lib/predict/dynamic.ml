@@ -21,6 +21,29 @@ let scheme_name = function
     Printf.sprintf "tage/%s"
       (String.concat "-" (List.map string_of_int histories))
 
+(* The names of the other schemes already carry every argument. *)
+let scheme_key = function
+  | Static _ ->
+    invalid_arg "Dynamic.scheme_key: a Static scheme has no cache key"
+  | Bimode { history_bits; choice_bits } ->
+    Printf.sprintf "bimode/%d/c%d" history_bits choice_bits
+  | Tage { table_bits; tag_bits; histories } ->
+    Printf.sprintf "tage/%s/t%d/g%d"
+      (String.concat "-" (List.map string_of_int histories))
+      table_bits tag_bits
+  | (Last_direction | Two_bit | Two_level _ | Gshare _ | Smith _) as s ->
+    scheme_name s
+
+type tally = {
+  correct : int;
+  incorrect : int;
+  site_correct : int array;
+  site_incorrect : int array;
+}
+
+let tally_percent (x : tally) =
+  Fisher92_util.Stats.percent x.correct (x.correct + x.incorrect)
+
 (* ---- kernels ----
 
    Each scheme is one kernel: an explicit state record and a closed
@@ -561,6 +584,14 @@ let correct t = t.correct
 let incorrect t = t.incorrect
 let site_correct t = Array.copy t.site_correct
 let site_incorrect t = Array.copy t.site_incorrect
+
+let tally t : tally =
+  {
+    correct = t.correct;
+    incorrect = t.incorrect;
+    site_correct = Array.sub t.site_correct 0 t.n_sites;
+    site_incorrect = Array.sub t.site_incorrect 0 t.n_sites;
+  }
 
 let percent_correct t =
   Fisher92_util.Stats.percent t.correct (t.correct + t.incorrect)

@@ -67,6 +67,29 @@ type scheme =
           pressure decays them. *)
 
 val scheme_name : scheme -> string
+(** The display name, as the experiment tables print it.  It leaves out
+    some arguments (Bi-Mode's [choice_bits], TAGE's [table_bits] and
+    [tag_bits], a [Static] prediction), so it is no cache key. *)
+
+val scheme_key : scheme -> string
+(** A name covering every constructor argument: two schemes have the
+    same key exactly when they simulate alike.  Cached results are
+    keyed by it.
+    @raise Invalid_argument on [Static], whose prediction is not part of
+    any key. *)
+
+type tally = {
+  correct : int;
+  incorrect : int;
+  site_correct : int array;  (** one entry per site *)
+  site_incorrect : int array;
+}
+(** What a finished replay scored: total and per-site correct and
+    incorrect predictions.  All a race result needs, and all the
+    experiments read. *)
+
+val tally_percent : tally -> float
+(** Percent of the tallied branches predicted correctly. *)
 
 type t
 
@@ -151,5 +174,9 @@ val site_correct : t -> int array
 (** Per-site correct-prediction tallies (a copy). *)
 
 val site_incorrect : t -> int array
+
+val tally : t -> tally
+(** A snapshot of the tallies so far (copies of the per-site arrays,
+    [n_sites] entries each). *)
 
 val percent_correct : t -> float

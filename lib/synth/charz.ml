@@ -127,7 +127,7 @@ let of_counts ~profile ~site_correct ~site_incorrect ~opinions =
 
 let gshare_scheme = Dynamic.Gshare { history_bits = 12 }
 
-let characterize (loaded : Fisher92.Study.loaded) =
+let characterize ?cache (loaded : Fisher92.Study.loaded) =
   let profile =
     Profile.sum (List.map (fun r -> r.Measure.profile) loaded.Fisher92.Study.runs)
   in
@@ -136,16 +136,13 @@ let characterize (loaded : Fisher92.Study.loaded) =
   let site_correct, site_incorrect =
     match w.Fisher92_workloads.Workload.w_datasets with
     | [] -> (Array.make n 0, Array.make n 0)
-    | ds :: _ ->
-      let obt =
-        Fisher92.Tracing.obtain ~ir:loaded.Fisher92.Study.ir
-          ~program:w.Fisher92_workloads.Workload.w_name ds
-      in
-      let sim =
-        Dynamic.simulate_runs gshare_scheme ~n_sites:n
-          (Fisher92.Tracing.Trace.Reader.iter_runs obt.Fisher92.Tracing.reader)
-      in
-      (Dynamic.site_correct sim, Dynamic.site_incorrect sim)
+    | _ :: _ -> (
+      match
+        Fisher92.Tracing.races ?cache ~cold_only:[ gshare_scheme ] ~schemes:[]
+          loaded
+      with
+      | [ { rc_cold = t; _ } ] -> (t.site_correct, t.site_incorrect)
+      | _ -> assert false)
   in
   let opinions = Heuristic.ball_larus_opinions loaded.Fisher92.Study.ir in
   of_counts ~profile ~site_correct ~site_incorrect ~opinions

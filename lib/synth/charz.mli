@@ -71,10 +71,11 @@ val gshare_scheme : Fisher92_predict.Dynamic.scheme
     the same configuration the [predictability] and [h2p] experiments
     use. *)
 
-val characterize : Fisher92.Study.loaded -> t
+val characterize : ?cache:bool -> Fisher92.Study.loaded -> t
 (** Characterize a loaded workload: profile summed over all its runs,
-    gshare simulated over the first dataset's trace (through the trace
-    store), opinions from the measured build. *)
+    cold gshare raced over the first dataset's trace (through
+    {!Fisher92.Tracing.races}: served from the study cache when present,
+    [~cache:false] bypasses it), opinions from the measured build. *)
 
 val header : string list
 (** Table header for per-workload characterization rows. *)

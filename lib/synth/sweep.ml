@@ -69,8 +69,8 @@ type item = {
    predictor roster.  Cross-dataset prediction is leave-one-out — each
    dataset predicted from the union of every other dataset's profile,
    the strongest profile a deployment could actually have had. *)
-let measure pt (loaded : Study.loaded) =
-  let charz = Charz.characterize loaded in
+let measure ?cache pt (loaded : Study.loaded) =
+  let charz = Charz.characterize ?cache loaded in
   let profiles = List.map (fun r -> r.Measure.profile) loaded.Study.runs in
   let total =
     List.fold_left (fun a p -> a + Profile.total_branches p) 0 profiles
@@ -114,7 +114,7 @@ let run ?domains ?cache ?items () =
   (* second fan-out: characterization + roster per point, merged by
      index like the study itself *)
   Pool.map ?domains
-    (fun (pt, loaded) -> measure pt loaded)
+    (fun (pt, loaded) -> measure ?cache pt loaded)
     (List.combine points loadeds)
 
 type class_row = {

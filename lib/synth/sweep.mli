@@ -11,8 +11,9 @@
     characterize-and-predict fan-out), and results are merged by task
     index — so the output is byte-identical for any worker count and any
     cache state, and repeated runs with the same seed grid reproduce
-    byte-for-byte.  Compiled runs persist through the study cache and
-    branch traces through the trace store, making warm reruns cheap.
+    byte-for-byte.  Compiled runs and the characterization's gshare
+    races persist through the study cache and branch traces through the
+    trace store, so a warm rerun runs no VM and decodes no trace.
 
     Registered in the experiment registry as [synthpool] (the per-class
     table plus the failure tail); this module's initialization performs
@@ -52,7 +53,8 @@ val run :
 (** Execute the sweep: generate, study-load (compile + run every
     dataset), characterize and race the predictor roster, in grid
     order.  [items] defaults to [grid ~seed:default_seed ()]; [domains]
-    and [cache] thread through to the study and the per-item fan-out.
+    and [cache] thread through to the study and the per-item fan-out
+    ([~cache:false] also bypasses the cached gshare races).
     Deterministic: the result is independent of [domains] and cache
     state. *)
 

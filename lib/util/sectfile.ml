@@ -215,10 +215,12 @@ let write_atomic ?label ~path ~tmp_prefix text =
   let label = match label with Some l -> l | None -> tmp_prefix in
   crash_point (label ^ ".before_write");
   let dir = Filename.dirname path in
-  let tmp = Filename.temp_file ~temp_dir:dir tmp_prefix ".tmp" in
+  let tmp, oc =
+    Filename.open_temp_file ~mode:[ Open_binary ] ~temp_dir:dir tmp_prefix
+      ".tmp"
+  in
   let cleanup () = try Sys.remove tmp with Sys_error _ -> () in
   try
-    let oc = open_out_bin tmp in
     (try
        (* two halves around a crash point, so an armed mid_write leaves
           a torn temp file — which the rename discipline must render

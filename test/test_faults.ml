@@ -17,8 +17,9 @@
    (so a spliced-then-damaged earlier copy cannot shadow it).
 
    The same corruptions hit random study-cache entries (format v2, with
-   optional gaps and dump sections), whose strict reader must miss on
-   every damaged entry rather than serve it. *)
+   optional gaps and dump sections) and race entries (per-site predictor
+   tallies), whose strict readers must miss on every damaged entry
+   rather than serve it. *)
 
 module Gen = QCheck2.Gen
 module Db = Fisher92_profile.Db
@@ -439,6 +440,121 @@ let test_cache_huge_count () =
   Alcotest.(check bool) "without allocating it" true
     (Gc.minor_words () -. before < 100_000.)
 
+(* ---------- race entries: one scheme's tallies over one trace ---------- *)
+
+module Dynamic = Fisher92_predict.Dynamic
+
+let scheme_gen =
+  Gen.oneofl
+    [
+      Dynamic.Last_direction;
+      Dynamic.Two_bit;
+      Dynamic.Gshare { history_bits = 12 };
+      Dynamic.Bimode { history_bits = 12; choice_bits = 10 };
+      Dynamic.Tage { table_bits = 10; tag_bits = 8; histories = [ 4; 8; 16 ] };
+    ]
+
+(* a race key and a tally consistent with it *)
+let race_gen : (Cache.race_key * Dynamic.tally) Gen.t =
+  let open Gen in
+  let* program = program_gen in
+  let* n_sites = int_range 0 12 in
+  let* encountered, taken = counters_gen n_sites in
+  let* warm = opt (array_repeat n_sites bool) in
+  let+ scheme = scheme_gen in
+  let sum = Array.fold_left ( + ) 0 in
+  let missed = Array.mapi (fun s e -> e - taken.(s)) encountered in
+  ( Cache.race_key
+      (Cache.key ~fingerprint:"0123456789abcdef" ~n_sites ~program dataset)
+      ?warm scheme,
+    {
+      Dynamic.correct = sum taken;
+      incorrect = sum missed;
+      site_correct = taken;
+      site_incorrect = missed;
+    } )
+
+let saved_race key tally =
+  clear_cache ();
+  Cache.save_race key tally;
+  match Sys.readdir cache_dir with
+  | [| f |] -> Filename.concat cache_dir f
+  | _ -> failwith "expected exactly one race entry"
+
+let prop_race_roundtrip =
+  QCheck2.Test.make ~count:200 ~name:"race entry: find (save tally) = tally"
+    race_gen
+    (fun (key, tally) ->
+      ignore (saved_race key tally);
+      Cache.find_race key = Some tally)
+
+let prop_race_never_trusted =
+  QCheck2.Test.make ~count:300
+    ~name:"race entry: corrupted entries miss, never served"
+    ~print:(fun (_, ops) -> String.concat "; " (List.map op_name ops))
+    Gen.(pair race_gen (list_size (int_range 1 3) op_gen))
+    (fun ((key, tally), ops) ->
+      let path = saved_race key tally in
+      let original = read_file path in
+      let corrupted = List.fold_left apply_op original ops in
+      write_file path corrupted;
+      match Cache.find_race key with
+      | None -> true
+      | Some back -> String.equal corrupted original && back = tally)
+
+(* A site or entry count far beyond the bytes present, under a valid
+   checksum, is refused without allocating it. *)
+let test_race_huge_count () =
+  let n_sites = 3 in
+  let key =
+    Cache.race_key
+      (Cache.key ~fingerprint:"0123456789abcdef" ~n_sites ~program:"p" dataset)
+      Dynamic.Two_bit
+  in
+  let tally =
+    {
+      Dynamic.correct = 5;
+      incorrect = 2;
+      site_correct = [| 4; 0; 1 |];
+      site_incorrect = [| 1; 0; 1 |];
+    }
+  in
+  let path = saved_race key tally in
+  Alcotest.(check bool) "intact entry hits" true
+    (Cache.find_race key = Some tally);
+  let lines = String.split_on_char '\n' (read_file path) in
+  (* replace [line] inside the section opened by [header] and re-seal
+     the section's checksum *)
+  let patch ~header ~line ~by =
+    let rec go = function
+      | h :: rest when String.equal h header ->
+        let rec body acc = function
+          | l :: rest when String.starts_with ~prefix:("end" ^ header ^ " ") l
+            ->
+            let body = h :: List.rev acc in
+            body @ (("end" ^ header ^ " " ^ Sectfile.checksum_of body) :: rest)
+          | l :: rest ->
+            body ((if String.equal l line then by else l) :: acc) rest
+          | [] -> []
+        in
+        body [] rest
+      | l :: rest -> l :: go rest
+      | [] -> []
+    in
+    let patched = go lines in
+    Alcotest.(check bool) (line ^ " was patched") true (patched <> lines);
+    write_file path (String.concat "\n" patched);
+    let before = Gc.minor_words () in
+    Alcotest.(check bool) (by ^ " misses") true (Cache.find_race key = None);
+    Alcotest.(check bool) "without allocating it" true
+      (Gc.minor_words () -. before < 100_000.)
+  in
+  patch ~header:"tally" ~line:"entries 2"
+    ~by:(Printf.sprintf "entries %d" max_int);
+  patch ~header:"meta" ~line:"sites 3" ~by:(Printf.sprintf "sites %d" max_int);
+  patch ~header:"tally" ~line:"2 1 1"
+    ~by:(Printf.sprintf "%d 1 1" max_int)
+
 let () =
   let q = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "faults"
@@ -450,6 +566,12 @@ let () =
         @ [
             Alcotest.test_case "huge declared count" `Quick
               test_cache_huge_count;
+          ] );
+      ( "race cache",
+        q [ prop_race_roundtrip; prop_race_never_trusted ]
+        @ [
+            Alcotest.test_case "huge site or entry count" `Quick
+              test_race_huge_count;
           ] );
       ( "roundtrip",
         q

@@ -537,6 +537,82 @@ let test_gaps_keyed_by_prediction () =
            ~config:{ Vm.default_config with on_branch = Some (fun _ _ -> ()) }
            ~program:w.w_name ir d))
 
+(* Race entries are keyed by every scheme argument, not by the display
+   name: each pair below shares a [scheme_name] but not a key, and an
+   entry of one, renamed onto the other's path, is refused. *)
+let test_race_keys_cover_scheme () =
+  let module Dynamic = Fisher92_predict.Dynamic in
+  let w, ir, d, _, _ = measured_run () in
+  let n_sites = Fisher92_ir.Program.n_sites ir in
+  let k =
+    Cache.key ~fingerprint:(Fingerprint.program_hash ir) ~n_sites
+      ~program:w.w_name d
+  in
+  let tally seed =
+    let site_correct = Array.init n_sites (fun s -> (s * seed) mod 7) in
+    let site_incorrect = Array.init n_sites (fun s -> (s + seed) mod 3) in
+    let sum = Array.fold_left ( + ) 0 in
+    {
+      Dynamic.correct = sum site_correct;
+      incorrect = sum site_incorrect;
+      site_correct;
+      site_incorrect;
+    }
+  in
+  let bimode c = Dynamic.Bimode { history_bits = 12; choice_bits = c } in
+  let tage t g =
+    Dynamic.Tage { table_bits = t; tag_bits = g; histories = [ 4; 8; 16 ] }
+  in
+  let warm = Array.make n_sites true in
+  let pairs =
+    [
+      ("bimode choice_bits", (bimode 10, None), (bimode 12, None));
+      ("tage table_bits", (tage 10 8, None), (tage 11 8, None));
+      ("tage tag_bits", (tage 10 8, None), (tage 10 9, None));
+      ("cold vs warm", (bimode 10, None), (bimode 10, Some warm));
+    ]
+  in
+  List.iter
+    (fun (what, (sa, wa), (sb, wb)) ->
+      clear_cache ();
+      let ka = Cache.race_key k ?warm:wa sa in
+      let kb = Cache.race_key k ?warm:wb sb in
+      Cache.save_race ka (tally 1);
+      let file_a = Sys.readdir cache_dir in
+      Cache.save_race kb (tally 2);
+      let file_b =
+        List.filter
+          (fun f -> not (Array.mem f file_a))
+          (Array.to_list (Sys.readdir cache_dir))
+      in
+      let path f = Filename.concat cache_dir f in
+      match (file_a, file_b) with
+      | [| a |], [ b ] ->
+        Alcotest.(check bool) (what ^ ": own entries hit") true
+          (Cache.find_race ka = Some (tally 1)
+          && Cache.find_race kb = Some (tally 2));
+        write_file (path b) (read_file (path a));
+        Alcotest.(check bool) (what ^ ": a renamed entry misses") true
+          (Cache.find_race kb = None)
+      | _ -> Alcotest.failf "%s: expected two distinct entries" what)
+    pairs;
+  Alcotest.(check bool) "the pairs share display names" true
+    (Dynamic.scheme_name (bimode 10) = Dynamic.scheme_name (bimode 12)
+    && Dynamic.scheme_name (tage 10 8) = Dynamic.scheme_name (tage 11 8)
+    && Dynamic.scheme_name (tage 10 8) = Dynamic.scheme_name (tage 10 9));
+  let schemes =
+    List.sort_uniq compare
+      (E.zoo_schemes () @ E.dynsim_schemes ()
+      @ [ bimode 12; tage 11 8; tage 10 9 ])
+  in
+  Alcotest.(check int) "every distinct scheme has its own key"
+    (List.length schemes)
+    (List.length
+       (List.sort_uniq compare (List.map Dynamic.scheme_key schemes)));
+  Alcotest.check_raises "Static has no key"
+    (Invalid_argument "Dynamic.scheme_key: a Static scheme has no cache key")
+    (fun () -> ignore (Dynamic.scheme_key (Dynamic.Static [||])))
+
 let () =
   let q = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "parallel"
@@ -578,6 +654,8 @@ let () =
             test_constant_edit_misses;
           Alcotest.test_case "gaps keyed by prediction" `Quick
             test_gaps_keyed_by_prediction;
+          Alcotest.test_case "race keys cover every scheme argument" `Quick
+            test_race_keys_cover_scheme;
         ] );
       ( "cache entry",
         [

@@ -6,8 +6,11 @@
    pinning the update rules, hand-evaluated cold/warm semantics of the
    new schemes, and the tournament acceptance gate: profile warming
    never loses on geomean mispredicts, store hit and miss replay
-   bit-identically; and the experiments' shared replay, checked against
-   a live VM hook and never served to the wrong study. *)
+   bit-identically; the experiments' shared replay, checked against a
+   live VM hook and never served to the wrong study; and the race cache
+   behind it: a warm render is byte-identical, writes nothing and
+   obtains no trace, and a missing or damaged race entry is replayed,
+   rendered identically and saved again. *)
 
 module Dynamic = Fisher92_predict.Dynamic
 module Predictor = Fisher92_predict.Predictor
@@ -19,16 +22,22 @@ module Registry = Fisher92_workloads.Registry
 module Workload = Fisher92_workloads.Workload
 module Gen = QCheck2.Gen
 
-(* Isolate the trace store, as test_trace does. *)
-let trace_dir =
-  let d = Filename.temp_file "f92zoo" ".d" in
+let fresh_dir prefix =
+  let d = Filename.temp_file prefix ".d" in
   Sys.remove d;
   Unix.mkdir d 0o700;
   d
 
+(* Isolate the trace store, as test_trace does, and the study cache,
+   which holds the race entries. *)
+let trace_dir = fresh_dir "f92zoo"
+let cache_dir = fresh_dir "f92zoocache"
+
 let () =
   Unix.putenv "FISHER92_TRACE_DIR" trace_dir;
-  Unix.putenv "FISHER92_NO_TRACE" ""
+  Unix.putenv "FISHER92_NO_TRACE" "";
+  Unix.putenv "FISHER92_CACHE_DIR" cache_dir;
+  Unix.putenv "FISHER92_NO_CACHE" ""
 
 let replay_of evs f = List.iter (fun (s, t) -> f s t) evs
 let zoo () = Predictor.zoo ()
@@ -501,8 +510,7 @@ let test_store_hit_miss_identical () =
       (fun ((_ : Fisher92.Study.loaded), (ob : Tracing.obtained), races) ->
         ( ob.Tracing.from_store,
           List.map
-            (fun (rc : Tracing.raced) ->
-              (tallies rc.rc_cold, tallies rc.rc_warm))
+            (fun (rc : Tracing.raced) -> (rc.rc_cold, rc.rc_warm))
             races ))
       results
   in
@@ -517,11 +525,22 @@ let test_store_hit_miss_identical () =
 
 (* ---------- the shared replay ---------- *)
 
+let with_env name value f =
+  let old = Sys.getenv_opt name in
+  Unix.putenv name value;
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv name (Option.value old ~default:""))
+    f
+
+(* Run [f] with the study cache, race entries included, switched off. *)
+let uncached f = with_env "FISHER92_NO_CACHE" "1" f
+
 (* [dynamic] reads the shared replay instead of running the VM, so a
    streaming hook on a live VM run stays the independent oracle that the
    stored trace replays the branch stream the VM produces.  Every scheme
    in the replay is checked, so each zoo scheme's batched kernel is
-   differenced against its streaming [hook]. *)
+   differenced against its streaming [hook].  The replay runs with the
+   cache off, so a warm race entry cannot stand in for the kernel. *)
 let test_replay_matches_vm_hook () =
   List.iter
     (fun ((l : Fisher92.Study.loaded), races) ->
@@ -546,9 +565,10 @@ let test_replay_matches_vm_hook () =
             (Printf.sprintf "%s %s: VM hook = shared replay"
                l.workload.Workload.w_name (Dynamic.scheme_name scheme))
             true
-            (tallies live = tallies rc.Tracing.rc_cold))
+            (Dynamic.tally live = rc.Tracing.rc_cold))
         (Dynamic.Last_direction :: Fisher92.Experiments.zoo_schemes ()))
-    (Fisher92.Experiments.replay (load_study [ "compress"; "lfk" ]))
+    (uncached (fun () ->
+         Fisher92.Experiments.replay (load_study [ "compress"; "lfk" ])))
 
 (* The single-slot memo must never serve one study's replay to another:
    study A, then B, then a fresh A' equal to A. *)
@@ -573,6 +593,112 @@ let test_replay_memo_per_study () =
   Alcotest.check names "dynsim rows of B" [ "spiff"; "lfk" ] dn_b;
   Alcotest.check names "h2p rows of B" [ "spiff"; "lfk" ] hp_b;
   Alcotest.(check string) "A and A' render alike" out_a out_a'
+
+(* ---------- the race cache ---------- *)
+
+let race_sections =
+  [ "dynamic"; "dynsim"; "predictability"; "tournament"; "h2p"; "synthpool" ]
+
+(* Every race-reading section, from a fresh study each time so the
+   replay memo cannot serve a previous render. *)
+let render_races () =
+  let study = lazy (load_study [ "compress"; "lfk"; "spiff" ]) in
+  let registry = Fisher92_synth.Sweep.registry () in
+  String.concat ""
+    (List.map
+       (fun id ->
+         let e =
+           List.find (fun e -> e.Fisher92.Experiment.e_id = id) registry
+         in
+         Fisher92.Experiment.render_text e study)
+       race_sections)
+
+let listing dir =
+  List.map
+    (fun f ->
+      let st = Unix.stat (Filename.concat dir f) in
+      (f, st.Unix.st_size, st.Unix.st_mtime, st.Unix.st_ino))
+    (List.sort compare (Array.to_list (Sys.readdir dir)))
+
+let empty_dir dir =
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir)
+
+let race_files () =
+  List.filter
+    (fun f -> Filename.check_suffix f ".race")
+    (Array.to_list (Sys.readdir cache_dir))
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path text =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text)
+
+(* Both stores empty, then the renders: cold, which fills them. *)
+let cold_render () =
+  empty_dir cache_dir;
+  empty_dir trace_dir;
+  render_races ()
+
+let test_race_warm_untouched () =
+  let cold = cold_render () in
+  Alcotest.(check bool) "the cold render saved race entries" true
+    (race_files () <> []);
+  let before = (listing cache_dir, listing trace_dir) in
+  Alcotest.(check string) "warm output byte-identical" cold (render_races ());
+  Alcotest.(check bool) "warm render left every entry untouched" true
+    (before = (listing cache_dir, listing trace_dir));
+  Alcotest.(check string) "cache disabled renders the same" cold
+    (uncached render_races)
+
+(* A warm cache needs no trace at all: with the trace store pointed at
+   an empty directory, nothing is captured into it. *)
+let test_race_warm_no_replay () =
+  let cold = cold_render () in
+  let empty = fresh_dir "f92zootraces" in
+  let warm =
+    with_env "FISHER92_TRACE_DIR" empty (fun () -> render_races ())
+  in
+  Alcotest.(check string) "rendered identically" cold warm;
+  Alcotest.(check (list string)) "no trace obtained" []
+    (Array.to_list (Sys.readdir empty));
+  Unix.rmdir empty
+
+let test_race_miss_trace_hit () =
+  let cold = cold_render () in
+  let races = race_files () in
+  List.iter (fun f -> Sys.remove (Filename.concat cache_dir f)) races;
+  let traces = listing trace_dir in
+  Alcotest.(check string) "replayed from the store identically" cold
+    (render_races ());
+  Alcotest.(check bool) "every trace came from the store" true
+    (traces = listing trace_dir);
+  Alcotest.(check (list string)) "and every race was saved again" races
+    (race_files ())
+
+let index_of text sub =
+  let n = String.length sub in
+  let rec go i =
+    if i + n > String.length text then None
+    else if String.sub text i n = sub then Some i
+    else go (i + 1)
+  in
+  go 0
+
+let test_race_flipped_entry () =
+  let cold = cold_render () in
+  let path = Filename.concat cache_dir (List.hd (race_files ())) in
+  let original = read_file path in
+  (* the first byte of the tally section's first body line *)
+  let header = "\ntally\n" in
+  let at = Option.get (index_of original header) + String.length header in
+  let b = Bytes.of_string original in
+  Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor 1));
+  write_file path (Bytes.to_string b);
+  let ino = (Unix.stat path).Unix.st_ino in
+  Alcotest.(check string) "recomputed output identical" cold (render_races ());
+  Alcotest.(check string) "entry rewritten" original (read_file path);
+  Alcotest.(check bool) "by a fresh write" true
+    ((Unix.stat path).Unix.st_ino <> ino)
 
 (* ---------- run ---------- *)
 
@@ -636,5 +762,16 @@ let () =
             test_replay_matches_vm_hook;
           Alcotest.test_case "memo never serves a stale study" `Quick
             test_replay_memo_per_study;
+        ] );
+      ( "race cache",
+        [
+          Alcotest.test_case "warm render identical and untouched" `Slow
+            test_race_warm_untouched;
+          Alcotest.test_case "warm render obtains no trace" `Slow
+            test_race_warm_no_replay;
+          Alcotest.test_case "race miss, trace hit identical" `Slow
+            test_race_miss_trace_hit;
+          Alcotest.test_case "flipped race entry recomputed" `Slow
+            test_race_flipped_entry;
         ] );
     ]
